@@ -25,7 +25,7 @@ def _read_source(path):
         return handle.read()
 
 
-def _load_job(path, seed=None):
+def _load_job(path):
     try:
         text = _read_source(path)
     except OSError as exc:
@@ -40,8 +40,6 @@ def _load_job(path, seed=None):
         print(doc.to_json())
         print(str(exc), file=sys.stderr)
         return None, 2
-    if seed is not None:
-        job.options["seed"] = seed
     return job, 0
 
 
@@ -51,7 +49,7 @@ def _emit(doc, fmt):
 
 
 def _cmd_run(args):
-    job, code = _load_job(args.jobfile, args.seed)
+    job, code = _load_job(args.jobfile)
     if job is None:
         return code
     doc = execute_job(job)
@@ -94,7 +92,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="execute a job document")
     p_run.add_argument("jobfile", help='path to a JSON job, or "-" for stdin')
     p_run.add_argument("--format", choices=("json", "text"), default=None)
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(fn=_cmd_run)
 
     p_verify = sub.add_parser(

@@ -9,11 +9,12 @@ which downstream code then labels as assumed rather than verified.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import (GREVLEX, Ideal, intersect, intersect_all)
-from .poly import Polynomial, mono_divides
+from .groebner import GREVLEX, Ideal, _monomial_min_gens, intersect_all
+from .poly import Polynomial
 
 
 class UnsupportedClassError(Exception):
@@ -35,31 +36,38 @@ class PrimaryComponent:
         return self.status == VERIFIED
 
 
+def check_minimal(target, pairs):
+    """Assert that the (component, radical) pairs form a minimal primary
+    decomposition of target: the components intersect to it, the radicals
+    are pairwise distinct and no component is redundant.  Returns True or
+    raises AssertionError."""
+    comps = [q for q, _ in pairs]
+    if intersect_all(comps, target.ring) != target:
+        raise AssertionError("components do not intersect to the target")
+    rads = [r for _, r in pairs]
+    for i in range(len(rads)):
+        for j in range(i + 1, len(rads)):
+            if rads[i] == rads[j]:
+                raise AssertionError("radicals not pairwise distinct")
+    for i in range(len(comps)):
+        rest = comps[:i] + comps[i + 1:]
+        if rest and intersect_all(rest, target.ring) == target:
+            raise AssertionError("a component is redundant")
+    return True
+
+
 @dataclass(frozen=True)
 class Decomposition:
     target: Ideal
     components: tuple
-    minimal: bool = True
 
     def intersection(self):
         return intersect_all([c.component for c in self.components],
                              self.target.ring)
 
     def check(self):
-        """Assert the structural invariants; returns True or raises."""
-        if self.intersection() != self.target:
-            raise AssertionError("components do not intersect to the target")
-        if self.minimal:
-            comps = self.components
-            for i in range(len(comps)):
-                for j in range(i + 1, len(comps)):
-                    if comps[i].radical == comps[j].radical:
-                        raise AssertionError("radicals not pairwise distinct")
-            for i in range(len(comps)):
-                rest = [c.component for k, c in enumerate(comps) if k != i]
-                if intersect_all(rest, self.target.ring) == self.target:
-                    raise AssertionError("a component is redundant")
-        return True
+        return check_minimal(self.target, [(c.component, c.radical)
+                                           for c in self.components])
 
 
 # ---------------------------------------------------------------------------
@@ -75,15 +83,6 @@ def _support(m):
     return tuple(i for i, e in enumerate(m) if e)
 
 
-def _min_exps(exps):
-    ordered = sorted(set(exps), key=lambda m: (sum(m), m))
-    kept = []
-    for m in ordered:
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    return sorted(kept)
-
-
 def _variable_ideal(ring, indices):
     return Ideal(ring, [ring.gen(i) for i in sorted(indices)])
 
@@ -93,7 +92,8 @@ def monomial_radical(I):
     gens = I.monomial_generators()
     squarefree = [tuple(1 if e else 0 for e in m) for m in gens]
     ring = I.ring
-    return Ideal(ring, [ring.monomial(m) for m in _min_exps(squarefree)])
+    return Ideal(ring, [ring.monomial(m)
+                        for m in sorted(_monomial_min_gens(squarefree))])
 
 
 def _irreducible_split(gens, split):
@@ -108,7 +108,7 @@ def _irreducible_split(gens, split):
     """
     out = []
     seen = set()
-    stack = [tuple(_min_exps(gens))]
+    stack = [tuple(sorted(_monomial_min_gens(gens)))]
     visited = set()
     while stack:
         current = stack.pop()
@@ -127,8 +127,8 @@ def _irreducible_split(gens, split):
         u_part = tuple(e if i == v else 0 for i, e in enumerate(m))
         v_part = tuple(0 if i == v else e for i, e in enumerate(m))
         rest = [g for g in current if g != m]
-        stack.append(tuple(_min_exps(rest + [u_part])))
-        stack.append(tuple(_min_exps(rest + [v_part])))
+        stack.append(tuple(sorted(_monomial_min_gens(rest + [u_part]))))
+        stack.append(tuple(sorted(_monomial_min_gens(rest + [v_part]))))
     return sorted(out)
 
 
@@ -283,18 +283,13 @@ def _divmod_uni(a, b, field):
 
 
 def _gcd_uni(a, b, field):
-    p = field.characteristic
     a, b = _trim(list(a)), _trim(list(b))
     while _deg(b) >= 0:
         _, r = _divmod_uni(a, b, field)
         a, b = b, r
     if _deg(a) < 0:
         return a
-    inv = field.inv(a[_deg(a)])
-    out = [c * inv for c in a]
-    if p:
-        out = [c % p for c in out]
-    return out
+    return _monic_uni(a, field)
 
 
 def _derivative_uni(a, field):
@@ -377,9 +372,7 @@ def _divisors(n):
 def _rational_roots(s_coeffs):
     """All rational roots of a squarefree polynomial with Fraction
     coefficients."""
-    den = 1
-    for c in s_coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in s_coeffs))
     ints = [int(c * den) for c in s_coeffs]
     roots = []
     while ints[0] == 0:
@@ -400,12 +393,6 @@ def _rational_roots(s_coeffs):
                 if acc == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def univariate_primary_decomposition(I, require_verified=False):
@@ -500,26 +487,12 @@ def radical_ideal(I):
             return Ideal(ring)
         f = gb[0]
         if field.characteristic:
-            out = [field.one]
-            for tail in sorted(_fp_factor(_coeffs(f), field)):
-                out = _mul_uni(out, list(tail), field)
-            return Ideal(ring, [_from_coeffs(ring, out)])
+            factors = [_from_coeffs(ring, list(tail))
+                       for tail in sorted(_fp_factor(_coeffs(f), field))]
+            return Ideal(ring, [math.prod(factors, start=ring.one())])
         df = _derivative_uni(_coeffs(f), field)
         g = _gcd_uni(_coeffs(f), df, field)
         sqfree, _ = _divmod_uni(_monic_uni(_coeffs(f), field), g, field)
         return Ideal(ring, [_from_coeffs(ring, sqfree)])
     raise UnsupportedClassError("radical outside supported classes")
 
-
-def _mul_uni(a, b, field):
-    p = field.characteristic
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
-        for j, d in enumerate(b):
-            s = out[i + j] + c * d
-            if p:
-                s %= p
-            out[i + j] = s
-    return _trim(out) or [field.zero]

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import (ASSUMED, VERIFIED, Decomposition,
-                            PrimaryComponent, UnsupportedClassError,
-                            associated_primes, classical_decomposition,
-                            is_monomial_ideal, minimal_primes, radical_ideal)
+from .decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
+                            _irredundant, associated_primes, check_minimal,
+                            classical_decomposition, is_monomial_ideal,
+                            minimal_primes, radical_ideal)
 from .grading import is_g_ideal, star
 from .groebner import (GREVLEX, Ideal, colon, ideal_power, ideal_product,
                        intersect_all, saturate_ideal)
@@ -50,7 +50,6 @@ class GPrimaryComponent:
 class GDecomposition:
     target: Ideal
     components: tuple
-    minimal: bool = True
 
     def intersection(self):
         return intersect_all([c.component for c in self.components],
@@ -63,18 +62,8 @@ class GDecomposition:
         raise ValueError("not a G-radical of this decomposition")
 
     def check(self):
-        if self.intersection() != self.target:
-            raise AssertionError("components do not intersect to the target")
-        comps = self.components
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                if comps[i].g_radical == comps[j].g_radical:
-                    raise AssertionError("G-radicals not pairwise distinct")
-        for i in range(len(comps)):
-            rest = [c.component for k, c in enumerate(comps) if k != i]
-            if rest and intersect_all(rest, self.target.ring) == self.target:
-                raise AssertionError("a component is redundant")
-        return True
+        return check_minimal(self.target, [(c.component, c.g_radical)
+                                           for c in self.components])
 
 
 def g_radical(I, graded, classical=None):
@@ -92,14 +81,13 @@ def is_g_radical(I, graded, classical=None):
     return g_radical(I, graded, classical) == I
 
 
-def is_g_prime(P, graded, minimal=None):
+def is_g_prime(P, graded):
     """A proper homogeneous P is G-prime iff it is the star of one of its
     own minimal primes."""
     if P.is_unit:
         return False
     _require_homogeneous(P, graded, "is_g_prime")
-    primes = minimal if minimal is not None else minimal_primes(P)
-    return any(star(p, graded) == P for p in primes)
+    return any(star(p, graded) == P for p in minimal_primes(P))
 
 
 def is_g_primary(Q, graded, classical=None):
@@ -134,14 +122,8 @@ def g_primary_decomposition(N, graded, classical=None):
     starred.sort(key=lambda g: (_canon_key(g.g_radical),
                                 _canon_key(g.component)))
 
-    kept = list(starred)
-    i = 0
-    while i < len(kept):
-        trial = [g.component for k, g in enumerate(kept) if k != i]
-        if trial and intersect_all(trial, ring) == N:
-            kept.pop(i)
-        else:
-            i += 1
+    survivors = _irredundant([g.component for g in starred], N)
+    kept = [g for g in starred if any(g.component is s for s in survivors)]
 
     by_radical = []
     for g in kept:
@@ -162,24 +144,29 @@ def g_primary_decomposition(N, graded, classical=None):
     return GDecomposition(N, tuple(components))
 
 
-def g_associated_primes(N, graded, classical=None, gdec=None):
-    """Stars of the classical associated primes, deduplicated.
+def _classical_primes(N, classical):
+    """Ass(N): the certificate's radicals, or computed in a supported
+    class."""
+    if classical is None:
+        return associated_primes(N)
+    return [c.radical for c in _classical_for(N, classical).components]
 
-    Cross-checked against the G-radicals of the G-primary decomposition;
-    a mismatch would be an internal error.
-    """
-    _require_homogeneous(N, graded, "g_associated_primes")
-    if classical is not None:
-        ass = [c.radical for c in _classical_for(N, classical).components]
-    else:
-        ass = associated_primes(N)
+
+def _starred(primes, graded):
+    """Stars of the given primes, deduplicated, in canonical order."""
     out = []
-    for p in ass:
+    for p in primes:
         P = star(p, graded)
         if not any(P == q for q in out):
             out.append(P)
     out.sort(key=_canon_key)
+    return out
 
+
+def _g_ass_checked(N, graded, classical, gdec, ass):
+    """Stars of ass, cross-checked against the G-radicals of the G-primary
+    decomposition; a mismatch would be an internal error."""
+    out = _starred(ass, graded)
     if gdec is None:
         gdec = g_primary_decomposition(N, graded, classical)
     radicals = [c.g_radical for c in gdec.components]
@@ -190,28 +177,25 @@ def g_associated_primes(N, graded, classical=None, gdec=None):
     return out
 
 
-def g_minimal_primes(N, graded, classical=None):
-    """Stars of the classical minimal primes, deduplicated."""
-    _require_homogeneous(N, graded, "g_minimal_primes")
-    if classical is not None:
-        dec = _classical_for(N, classical)
-        cands = [c.radical for c in dec.components]
-        keep = []
-        for i, p in enumerate(cands):
-            if not any(j != i and cands[j] <= p and not (p <= cands[j])
-                       for j in range(len(cands))):
-                keep.append(p)
-    else:
-        keep = minimal_primes(N)
-    out = []
-    for p in keep:
-        P = star(p, graded)
-        if not any(P == q for q in out):
-            out.append(P)
-    out.sort(key=_canon_key)
+def g_associated_primes(N, graded, classical=None, gdec=None):
+    """Stars of the classical associated primes, deduplicated."""
+    _require_homogeneous(N, graded, "g_associated_primes")
+    return _g_ass_checked(N, graded, classical, gdec,
+                          _classical_primes(N, classical))
 
-    ass = g_associated_primes(N, graded, classical)
-    for P in ass:
+
+def g_minimal_primes(N, graded, classical=None, gdec=None):
+    """Stars of the inclusion-minimal classical associated primes,
+    deduplicated; every G-associated prime must contain one of them."""
+    _require_homogeneous(N, graded, "g_minimal_primes")
+    try:
+        ass = _classical_primes(N, classical)
+    except UnsupportedClassError:
+        raise UnsupportedClassError(
+            "minimal primes outside supported classes") from None
+    out = _starred([p for p in ass
+                    if not any(q <= p and not p <= q for q in ass)], graded)
+    for P in _g_ass_checked(N, graded, classical, gdec, ass):
         if not any(Q <= P for Q in out):
             raise AssertionError("a G-associated prime contains no "
                                  "G-minimal prime")
@@ -290,7 +274,6 @@ def verify_theorem_suite(I, graded, classical=None):
     assumed (certificate-dependent) or unsupported (class dispatch
     failed), and nothing is ever silently skipped.
     """
-    ring = I.ring
     checks = []
 
     def add(name, status, detail=""):
@@ -302,25 +285,14 @@ def verify_theorem_suite(I, graded, classical=None):
     # (a) concatenating classical decompositions of the G-components
     # yields a minimal classical decomposition of the target.
     try:
-        pieces = []
-        for c in gdec.components:
-            pieces.extend(classical_decomposition(c.component).components)
-        ok = intersect_all([p.component for p in pieces], ring) == I
-        if ok:
-            rads = [p.radical for p in pieces]
-            ok = all(rads[i] != rads[j]
-                     for i in range(len(rads))
-                     for j in range(i + 1, len(rads)))
-        if ok and len(pieces) > 1:
-            for i in range(len(pieces)):
-                rest = [p.component for k, p in enumerate(pieces) if k != i]
-                if intersect_all(rest, ring) == I:
-                    ok = False
-                    break
-        status = "pass" if ok else "fail"
-        if ok and not (certified and
-                       all(p.status == VERIFIED for p in pieces)):
-            status = "assumed"
+        pieces = [p for c in gdec.components
+                  for p in classical_decomposition(c.component).components]
+        try:
+            check_minimal(I, [(p.component, p.radical) for p in pieces])
+            status = "pass" if certified and \
+                all(p.status == VERIFIED for p in pieces) else "assumed"
+        except AssertionError:
+            status = "fail"
         add("concatenated-classical-minimal", status,
             f"{len(pieces)} classical components")
     except UnsupportedClassError as exc:
@@ -347,7 +319,7 @@ def verify_theorem_suite(I, graded, classical=None):
         mins = minimal_primes(I)
         classical_flat = len(ass) == len(mins)
         gass = g_associated_primes(I, graded, classical, gdec=gdec)
-        gmin = g_minimal_primes(I, graded, classical)
+        gmin = g_minimal_primes(I, graded, classical, gdec=gdec)
         g_flat = len(gass) == len(gmin)
         add("g-ass-equals-g-min-iff-classical",
             "pass" if classical_flat == g_flat else "fail",

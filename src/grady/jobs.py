@@ -242,8 +242,11 @@ def parse_job(text):
                    "a list of argument strings")
     options = _expect(command.get("options", {}), "command.options", dict,
                       "an object")
-    _only_keys(options, "command.options",
-               {"order", "degree_bound", "format", "seed", "split"})
+    _only_keys(options, "command.options", {"order", "degree_bound", "format"})
+    bound = options.get("degree_bound")
+    if bound is not None and (type(bound) is not int or bound < 0):
+        raise JobError("command.options.degree_bound",
+                       "expected a natural number")
     return Job(ring, graded, ideals, matrices, op, list(args), dict(options),
                matrix_specs)
 
@@ -287,7 +290,7 @@ def _prime_list_payload(primes):
 
 
 def _decomposition_payload(dec):
-    return {"minimal": dec.minimal,
+    return {"minimal": True,
             "components": [{"component": _gens_list(c.component),
                             "radical": _gens_list(c.radical),
                             "status": c.status}
@@ -295,7 +298,7 @@ def _decomposition_payload(dec):
 
 
 def _gdecomposition_payload(gdec):
-    return {"minimal": gdec.minimal,
+    return {"minimal": True,
             "components": [{"component": _gens_list(c.component),
                             "g_radical": _gens_list(c.g_radical),
                             "status": c.status}
@@ -471,22 +474,21 @@ def _op_theorems(job):
     return verify_theorem_suite(_ideal_arg(job, 0), job.graded), "report"
 
 
-def _op_oracle(job):
-    I = _ideal_arg(job, 0)
+def _oracle_verdict(job, I):
+    """Oracle comparison of I against its star, up to the job's
+    degree_bound (default: two above the star's top generator degree)."""
     S = star(I, job.graded)
     bound = job.options.get("degree_bound")
     if bound is None:
         gens = S.canonical_generators()
         bound = max((g.total_degree() for g in gens), default=0) + 2
-    if not isinstance(bound, int) or bound < 0:
-        raise JobError("command.options.degree_bound",
-                       "expected a natural number")
-    if job.ring.field.characteristic == 0:
-        verdict = oracle_compare_rationals(I, job.graded, bound,
-                                           star_ideal=S)
-    else:
-        verdict = oracle_compare(I, job.graded, bound, star_ideal=S)
-    return verdict.to_payload(), "verdict"
+    compare = oracle_compare_rationals if job.ring.field.characteristic == 0 \
+        else oracle_compare
+    return compare(I, job.graded, bound, star_ideal=S)
+
+
+def _op_oracle(job):
+    return _oracle_verdict(job, _ideal_arg(job, 0)).to_payload(), "verdict"
 
 
 OPS = {
@@ -562,16 +564,7 @@ def verify_document(job):
         failed = failed or report["status"] == "fail"
 
         try:
-            S = star(I, job.graded)
-            bound = job.options.get("degree_bound")
-            if bound is None:
-                gens = S.canonical_generators()
-                bound = max((g.total_degree() for g in gens), default=0) + 2
-            if job.ring.field.characteristic == 0:
-                verdict = oracle_compare_rationals(I, job.graded, bound,
-                                                   star_ideal=S)
-            else:
-                verdict = oracle_compare(I, job.graded, bound, star_ideal=S)
+            verdict = _oracle_verdict(job, I)
             entry["oracle"] = verdict.to_payload()
             failed = failed or verdict.status == "fail"
         except (ValueError, ArithmeticError) as exc:

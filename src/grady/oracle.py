@@ -257,9 +257,7 @@ def reduce_ideal_mod(I, p, graded=None):
     modular = PolynomialRing(GF(p), ring.variables)
     gens = []
     for g in I.generators:
-        den = 1
-        for c in g.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in g.terms.values()))
         if den % p == 0:
             raise BadPrimeError(f"denominator vanishes mod {p}")
         terms = {}

@@ -12,13 +12,14 @@ import random
 import time
 from dataclasses import dataclass
 
-from .decomposition import (associated_primes, classical_decomposition,
-                            minimal_primes, monomial_dimension,
+from .decomposition import (associated_primes, check_minimal,
+                            classical_decomposition, minimal_primes,
+                            monomial_dimension,
                             monomial_primary_decomposition, monomial_radical)
 from .fitting import PresentationMatrix, fitting_ideal, graded_matrix_check
 from .grading import GradedRing, GradingGroup, is_g_ideal, star
 from .groebner import (GREVLEX, Ideal, colon, ideal_equal, ideal_sum,
-                       intersect, intersect_all)
+                       intersect)
 from .gtheory import (g_associated_primes, g_minimal_primes,
                       g_primary_decomposition, g_radical, is_g_primary,
                       is_g_prime, poset_component, verify_theorem_suite)
@@ -264,24 +265,14 @@ def _criterion_6(ctx):
             assert all(is_g_primary(c.component, graded) for c in comps)
             assert all(is_g_prime(c.g_radical, graded) for c in comps)
 
-            pieces = []
-            for c in comps:
-                pieces.extend(
-                    classical_decomposition(c.component).components)
-            assert intersect_all([p.component for p in pieces],
-                                 rec["ring"]) == I
-            rads = [p.radical for p in pieces]
-            assert all(rads[i] != rads[j] for i in range(len(rads))
-                       for j in range(i + 1, len(rads)))
-            for i in range(len(pieces)):
-                rest = [p.component for k, p in enumerate(pieces) if k != i]
-                assert not rest or \
-                    intersect_all(rest, rec["ring"]) != I
+            pieces = [p for c in comps for p in
+                      classical_decomposition(c.component).components]
+            check_minimal(I, [(p.component, p.radical) for p in pieces])
 
             gass = g_associated_primes(I, graded, gdec=gdec)
             assert _same_prime_sets(
                 gass, [star(p, graded) for p in associated_primes(I)])
-            gmin = g_minimal_primes(I, graded)
+            gmin = g_minimal_primes(I, graded, gdec=gdec)
             assert _same_prime_sets(
                 gmin, [star(p, graded) for p in minimal_primes(I)])
         except AssertionError as exc:

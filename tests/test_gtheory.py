@@ -4,15 +4,17 @@ import random
 
 import pytest
 
+from grady import decomposition, gtheory
 from grady.decomposition import (Decomposition, PrimaryComponent,
                                  radical_ideal)
 from grady.grading import GradedRing, GradingGroup, star
 from grady.groebner import (Ideal, colon, ideal_power, ideal_product,
                             intersect)
-from grady.gtheory import (GDecomposition, g_associated_primes,
-                           g_associated_witness, g_minimal_primes,
-                           g_primary_decomposition, g_radical, is_g_primary,
-                           is_g_prime, is_g_radical, poset_component,
+from grady.gtheory import (GDecomposition, GPrimaryComponent,
+                           g_associated_primes, g_associated_witness,
+                           g_minimal_primes, g_primary_decomposition,
+                           g_radical, is_g_primary, is_g_prime,
+                           is_g_radical, poset_component,
                            verify_theorem_suite)
 from grady.poly import GF, QQ, PolynomialRing, parse_polynomial
 
@@ -171,12 +173,50 @@ def test_grad_star_exchange_random_lines():
         assert g_radical(S, graded) == star(radical_ideal(a), graded)
 
 
-def test_gdecomposition_check_detects_redundancy(Rxy):
-    from grady.gtheory import GPrimaryComponent
-    N = Ideal(Rxy, ["x^2"])
-    bad = GDecomposition(N, (
-        GPrimaryComponent(Ideal(Rxy, ["x^2"]), Ideal(Rxy, ["x"])),
-        GPrimaryComponent(Ideal(Rxy, ["x^2", "y"]), Ideal(Rxy, ["x", "y"])),
-    ))
-    with pytest.raises(AssertionError):
+# target, [(component, radical)], expected message
+_BROKEN = {
+    "intersection": (["x^2"], [(["x^3"], ["x"])],
+                     "do not intersect"),
+    "radicals": (["x^2", "x*y"], [(["x"], ["x"]), (["x^2", "y"], ["x"])],
+                 "not pairwise distinct"),
+    "redundant": (["x^2"], [(["x^2"], ["x"]), (["x^2", "y"], ["x", "y"])],
+                  "redundant"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_BROKEN))
+@pytest.mark.parametrize("cls, part", [(Decomposition, PrimaryComponent),
+                                       (GDecomposition, GPrimaryComponent)],
+                         ids=["classical", "graded"])
+def test_check_detects_each_failure_mode(Rxy, cls, part, mode):
+    target, pairs, message = _BROKEN[mode]
+    bad = cls(Ideal(Rxy, target), tuple(part(Ideal(Rxy, q), Ideal(Rxy, r))
+                                        for q, r in pairs))
+    with pytest.raises(AssertionError, match=message):
         bad.check()
+
+
+def test_theorems_and_g_min_reuse_finished_work(monkeypatch):
+    ring = PolynomialRing(GF(5), ("x", "y", "z"))
+    fine = GradedRing(ring, GradingGroup(3, ()),
+                      [((1, 0, 0), ()), ((0, 1, 0), ()), ((0, 0, 1), ())])
+    N = Ideal(ring, ["x^3*y", "x^2*z^2", "y^2*z"])
+    calls = {"gdec": 0, "ass": 0}
+    real_gdec = gtheory.g_primary_decomposition
+    real_ass = decomposition.monomial_associated_primes
+
+    def gdec(*args, **kwargs):
+        calls["gdec"] += 1
+        return real_gdec(*args, **kwargs)
+
+    def ass(*args, **kwargs):
+        calls["ass"] += 1
+        return real_ass(*args, **kwargs)
+
+    monkeypatch.setattr(gtheory, "g_primary_decomposition", gdec)
+    monkeypatch.setattr(decomposition, "monomial_associated_primes", ass)
+    assert verify_theorem_suite(N, fine)["status"] == "pass"
+    assert calls["gdec"] == 1
+    calls["ass"] = 0
+    g_minimal_primes(N, fine)
+    assert calls["ass"] == 1

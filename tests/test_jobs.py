@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import grady.cli as cli
 from grady.jobs import (JobError, ResultDocument, execute_job, parse_job,
                         render_result, verify_document)
 
@@ -72,6 +73,8 @@ def test_torsion_residues_reduce():
     (lambda d: d["command"]["options"].__setitem__("mystery", 1),
      "command.options.mystery"),
     (lambda d: d["ideals"].__setitem__("bad", ["x +* y"]), "ideals.bad[0]"),
+    (lambda d: d["command"]["options"].__setitem__("split", "first"),
+     "command.options.split"),
 ])
 def test_schema_errors_carry_paths(mutate, path_fragment):
     doc = json.loads(_job())
@@ -204,6 +207,21 @@ def test_oracle_op():
     out = execute_job(parse_job(json.dumps(doc)))
     assert out.payload["verdict"] == "pass"
     assert render_result(out, "text").startswith("verdict: pass")
+
+
+@pytest.mark.parametrize("cmd", ["run", "verify"])
+@pytest.mark.parametrize("bound", ["six", -1, True])
+def test_bad_degree_bound_is_an_input_error(tmp_path, capsys, cmd, bound):
+    doc = json.loads(_job())
+    doc["ideals"] = {"I": ["x^4", "x^3*y"]}
+    doc["command"] = {"op": "oracle", "args": ["I"],
+                      "options": {"degree_bound": bound}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main([cmd, str(path)]) == 2
+    out, _ = capsys.readouterr()
+    assert json.loads(out)["payload"]["detail"].startswith(
+        "command.options.degree_bound:")
 
 
 def test_verify_document_passes():
