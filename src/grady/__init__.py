@@ -32,9 +32,9 @@ from .gtheory import (GDecomposition, GPrimaryComponent,
                       poset_component, verify_theorem_suite)
 from .fitting import (PresentationMatrix, fitting_ideal, graded_matrix_check,
                       map_entries)
-from .oracle import (OracleVerdict, Subspace, TruncatedSpace, oracle_compare,
-                     oracle_compare_rationals, truncated_ideal_basis,
-                     truncated_star_basis)
+from .oracle import (OracleVerdict, ResourceLimitError, Subspace,
+                     TruncatedSpace, oracle_compare, oracle_compare_rationals,
+                     truncated_ideal_basis, truncated_star_basis)
 from .jobs import (Job, JobError, ResultDocument, execute_job, parse_job,
                    render_result, verify_document)
 

@@ -152,6 +152,11 @@ def _classical_primes(N, classical):
     return [c.radical for c in _classical_for(N, classical).components]
 
 
+def _inclusion_minimal(primes):
+    return [p for p in primes
+            if not any(q <= p and not p <= q for q in primes)]
+
+
 def _starred(primes, graded):
     """Stars of the given primes, deduplicated, in canonical order."""
     out = []
@@ -193,8 +198,7 @@ def g_minimal_primes(N, graded, classical=None, gdec=None):
     except UnsupportedClassError:
         raise UnsupportedClassError(
             "minimal primes outside supported classes") from None
-    out = _starred([p for p in ass
-                    if not any(q <= p and not p <= q for q in ass)], graded)
+    out = _starred(_inclusion_minimal(ass), graded)
     for P in _g_ass_checked(N, graded, classical, gdec, ass):
         if not any(Q <= P for Q in out):
             raise AssertionError("a G-associated prime contains no "
@@ -279,7 +283,22 @@ def verify_theorem_suite(I, graded, classical=None):
     def add(name, status, detail=""):
         checks.append({"name": name, "status": status, "detail": detail})
 
-    gdec = g_primary_decomposition(I, graded, classical)
+    # The target's classical decomposition, once: the certificate, or
+    # computed here (after the homogeneity check g_primary_decomposition
+    # would make first).  Beside a certificate, checks (c)-(e) still
+    # compute Ass(I) and Min(I) in the target's class, so outside the
+    # supported classes they report unsupported.
+    _require_homogeneous(I, graded, "g_primary_decomposition")
+    if classical is None:
+        dec = classical_decomposition(I)
+        own_ass = [c.radical for c in dec.components]
+        own_min = _inclusion_minimal(own_ass)
+        target_ass, target_min = (lambda: own_ass), (lambda: own_min)
+    else:
+        dec = classical
+        target_ass = lambda: associated_primes(I)
+        target_min = lambda: minimal_primes(I)
+    gdec = g_primary_decomposition(I, graded, dec)
     certified = all(c.status == VERIFIED for c in gdec.components)
 
     # (a) concatenating classical decompositions of the G-components
@@ -315,11 +334,10 @@ def verify_theorem_suite(I, graded, classical=None):
 
     # (c) Ass_G equals Min_G exactly when Ass equals Min.
     try:
-        ass = associated_primes(I)
-        mins = minimal_primes(I)
+        ass, mins = target_ass(), target_min()
         classical_flat = len(ass) == len(mins)
-        gass = g_associated_primes(I, graded, classical, gdec=gdec)
-        gmin = g_minimal_primes(I, graded, classical, gdec=gdec)
+        gass = g_associated_primes(I, graded, dec, gdec=gdec)
+        gmin = g_minimal_primes(I, graded, dec, gdec=gdec)
         g_flat = len(gass) == len(gmin)
         add("g-ass-equals-g-min-iff-classical",
             "pass" if classical_flat == g_flat else "fail",
@@ -330,9 +348,8 @@ def verify_theorem_suite(I, graded, classical=None):
 
     # (d) a G-radical ideal has no embedded primes.
     try:
-        if is_g_radical(I, graded, classical):
-            ass = associated_primes(I)
-            mins = minimal_primes(I)
+        if is_g_radical(I, graded, dec):
+            ass, mins = target_ass(), target_min()
             ok = len(ass) == len(mins)
             add("g-radical-has-no-embedded-primes",
                 "pass" if ok else "fail", f"{len(ass)} associated primes")
@@ -344,8 +361,8 @@ def verify_theorem_suite(I, graded, classical=None):
 
     # (e) a G-primary ideal is equidimensional.
     try:
-        if is_g_primary(I, graded, classical):
-            dims = {_dimension_of_prime(p) for p in minimal_primes(I)}
+        if is_g_primary(I, graded, dec):
+            dims = {_dimension_of_prime(p) for p in target_min()}
             add("g-primary-is-equidimensional",
                 "pass" if len(dims) == 1 else "fail",
                 f"dimensions {sorted(dims)}")

@@ -32,7 +32,8 @@ from .groebner import (GREVLEX, Ideal, colon, eliminate, ideal_membership,
 from .gtheory import (g_associated_primes, g_minimal_primes,
                       g_primary_decomposition, g_radical, is_g_primary,
                       is_g_prime, is_g_radical, verify_theorem_suite)
-from .oracle import oracle_compare, oracle_compare_rationals
+from .oracle import (ResourceLimitError, oracle_compare,
+                     oracle_compare_rationals)
 from .poly import (GF, LEX, QQ, PolyParseError, PolynomialRing,
                    parse_polynomial)
 
@@ -526,6 +527,9 @@ def execute_job(job):
     except UnsupportedClassError as exc:
         payload = {"reason": "unsupported-class", "detail": str(exc)}
         status, kind = "unsupported", "error"
+    except ResourceLimitError as exc:
+        payload = {"reason": "budget", "detail": str(exc)}
+        status, kind = "unsupported", "error"
     except (JobError, PolyParseError) as exc:
         payload = {"reason": "input-error", "detail": str(exc)}
         status, kind = "error", "error"
@@ -567,7 +571,7 @@ def verify_document(job):
             verdict = _oracle_verdict(job, I)
             entry["oracle"] = verdict.to_payload()
             failed = failed or verdict.status == "fail"
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, ResourceLimitError) as exc:
             entry["oracle"] = {"verdict": "error", "reason": str(exc),
                                "witness": None}
         payload["ideals"][name] = entry

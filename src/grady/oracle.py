@@ -36,6 +36,14 @@ def monomials_up_to(nvars, bound):
     return out
 
 
+# One dim x dim int64 matrix (the normal-form map) stays within 128 MiB.
+MAX_SPACE_DIMENSION = 4096
+
+
+class ResourceLimitError(Exception):
+    """The job would need more memory than a fixed budget allows."""
+
+
 class TruncatedSpace:
     __slots__ = ("ring", "degree_bound", "monomials", "index")
 
@@ -43,12 +51,16 @@ class TruncatedSpace:
         if ring.field.characteristic == 0:
             raise ValueError("truncation oracle works over prime fields; "
                              "reduce rational inputs mod primes")
+        dim = math.comb(ring.nvars + degree_bound, ring.nvars)
+        if dim > MAX_SPACE_DIMENSION:
+            raise ResourceLimitError(
+                f"truncated space of dimension {dim} exceeds the budget "
+                f"of {MAX_SPACE_DIMENSION}")
         self.ring = ring
         self.degree_bound = degree_bound
         self.monomials = tuple(monomials_up_to(ring.nvars, degree_bound))
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        assert len(self.monomials) == math.comb(ring.nvars + degree_bound,
-                                                ring.nvars)
+        assert len(self.monomials) == dim
 
     @property
     def dimension(self):
@@ -64,52 +76,52 @@ class TruncatedSpace:
 
     def polynomial(self, v):
         p = self.ring.field.characteristic
-        return Polynomial(self.ring,
-                          {m: int(v[i]) % p
-                           for i, m in enumerate(self.monomials) if v[i]})
+        return Polynomial(self.ring, {self.monomials[i]: int(v[i]) % p
+                                      for i in np.flatnonzero(v)})
 
 
 def _rref(A, p):
+    """Reduced row echelon form of A mod p: (nonzero rows, pivot columns).
+
+    Exact in int64: GF caps p below 2**31, so products stay below 2**62.
+    Each pivot clears only the rows with a nonzero entry in its column,
+    and only from that column on; entries to its left are already zero.
+    """
     A = A % p
     nrows, ncols = A.shape
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if A[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        if r == nrows:
+            break
+        below = np.flatnonzero(A[r:, c])
+        if not below.size:
             continue
+        pivot = r + below[0]
         if pivot != r:
             A[[r, pivot]] = A[[pivot, r]]
         A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        A = (A - np.outer(col, A[r])) % p
+        rows = np.flatnonzero(A[:, c])
+        rows = rows[rows != r]
+        if rows.size:
+            A[rows, c:] = (A[rows, c:]
+                           - np.outer(A[rows, c], A[r, c:])) % p
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return A[:r], pivots
 
 
 def _nullspace(A, p):
-    """Basis (as rows) of {x : A x = 0} over F_p."""
+    """Basis (as rows) of {x : A x = 0} over F_p, one row per free
+    column: 1 there, minus that column of the RREF at the pivots."""
     R, pivots = _rref(A, p)
-    ncols = A.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    rows = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(R[i, f])) % p
-        rows.append(v)
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.vstack(rows)
+    free = np.ones(A.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    K = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = (-R[:, free].T) % p
+    return K
 
 
 class Subspace:
@@ -118,13 +130,20 @@ class Subspace:
     __slots__ = ("space", "matrix", "pivots")
 
     def __init__(self, space, rows):
-        p = space.ring.field.characteristic
-        if rows is None or len(rows) == 0:
-            self.matrix = np.zeros((0, space.dimension), dtype=np.int64)
-            self.pivots = []
-        else:
-            self.matrix, self.pivots = _rref(np.array(rows, dtype=np.int64), p)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, space.dimension)
+        self.matrix, self.pivots = _rref(rows, space.ring.field.characteristic)
         self.space = space
+
+    @classmethod
+    def unit_rows(cls, space, indices):
+        """Span of the unit vectors at the given increasing indices: those
+        rows are already in RREF, with the indices as pivots."""
+        S = cls.__new__(cls)
+        S.space = space
+        S.matrix = np.zeros((len(indices), space.dimension), dtype=np.int64)
+        S.matrix[np.arange(len(indices)), indices] = 1
+        S.pivots = [int(i) for i in indices]
+        return S
 
     @property
     def dimension(self):
@@ -161,26 +180,22 @@ def _normal_form_matrix(I, space):
 def truncated_ideal_basis(I, degree_bound):
     """Exact basis of {f in I : deg f <= D} as a Subspace."""
     space = TruncatedSpace(I.ring, degree_bound)
-    p = I.ring.field.characteristic
     if I.is_monomial:
-        gens = I.monomial_generators()
-        rows = []
-        for i, m in enumerate(space.monomials):
-            if any(all(a >= b for a, b in zip(m, g)) for g in gens):
-                v = np.zeros(space.dimension, dtype=np.int64)
-                v[i] = 1
-                rows.append(v)
-        return Subspace(space, rows)
+        exps = np.array(space.monomials, dtype=np.int64)
+        inside = np.zeros(space.dimension, dtype=bool)
+        for g in I.monomial_generators():
+            inside |= (exps >= g).all(axis=1)
+        return Subspace.unit_rows(space, np.flatnonzero(inside))
     N = _normal_form_matrix(I, space)
-    return Subspace(space, _nullspace(N.T, p))
+    return Subspace(space, _nullspace(N.T, I.ring.field.characteristic))
 
 
 def truncated_star_basis(I, graded, degree_bound):
     """{f : deg f <= D, every homogeneous component of f lies in I}."""
-    space = TruncatedSpace(I.ring, degree_bound)
-    p = I.ring.field.characteristic
     if I.is_monomial:
         return truncated_ideal_basis(I, degree_bound)
+    space = TruncatedSpace(I.ring, degree_bound)
+    p = I.ring.field.characteristic
     N = _normal_form_matrix(I, space)
     blocks = {}
     for i, m in enumerate(space.monomials):
@@ -188,13 +203,11 @@ def truncated_star_basis(I, graded, degree_bound):
     rows = []
     for key in sorted(blocks, key=lambda h: (h.free, h.torsion)):
         idx = blocks[key]
-        sub = N[idx, :]
-        for w in _nullspace(sub.T, p):
-            v = np.zeros(space.dimension, dtype=np.int64)
-            for k, i in enumerate(idx):
-                v[i] = w[k]
-            rows.append(v)
-    return Subspace(space, rows)
+        W = _nullspace(N[idx, :].T, p)
+        V = np.zeros((len(W), space.dimension), dtype=np.int64)
+        V[:, idx] = W
+        rows.append(V)
+    return Subspace(space, np.vstack(rows))
 
 
 @dataclass(frozen=True)

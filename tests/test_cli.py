@@ -86,6 +86,29 @@ def test_unsupported_class_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "unsupported"
 
 
+def test_oversized_oracle_space_exits_three(tmp_path, capsys, monkeypatch):
+    import grady.oracle as oracle
+    # A low budget keeps the test small even if the check regresses.
+    monkeypatch.setattr(oracle, "MAX_SPACE_DIMENSION", 20)
+    doc = json.loads(json.dumps(STAR_JOB))
+    doc["ring"]["field"] = "F5"
+    doc["ideals"] = {"I": ["x^2", "x*y"]}
+    doc["command"] = {"op": "oracle", "args": ["I"],
+                      "options": {"degree_bound": 5}}     # dimension 21
+    code = cli.main(["run", _write_job(tmp_path, doc)])
+    out, _ = capsys.readouterr()
+    assert code == 3
+    result = json.loads(out)
+    assert result["status"] == "unsupported"
+    assert result["payload"]["reason"] == "budget"
+
+    code = cli.main(["verify", _write_job(tmp_path, doc)])
+    out, _ = capsys.readouterr()
+    oracle_entry = json.loads(out)["payload"]["ideals"]["I"]["oracle"]
+    assert code == 0 and oracle_entry["verdict"] == "error"
+    assert "budget" in oracle_entry["reason"]
+
+
 def test_verify_exit_zero(tmp_path, capsys):
     doc = json.loads(json.dumps(STAR_JOB))
     doc["ideals"] = {"I": ["x^4", "x^3*y"]}

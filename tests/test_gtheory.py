@@ -220,3 +220,31 @@ def test_theorems_and_g_min_reuse_finished_work(monkeypatch):
     calls["ass"] = 0
     g_minimal_primes(N, fine)
     assert calls["ass"] == 1
+
+
+def test_theorem_suite_decomposes_the_target_once(monkeypatch):
+    ring = PolynomialRing(GF(5), ("x", "y", "z"))
+    fine = GradedRing(ring, GradingGroup(3, ()),
+                      [((1, 0, 0), ()), ((0, 1, 0), ()), ((0, 0, 1), ())])
+    N = Ideal(ring, ["x^3*y", "x^2*z^2", "y^2*z"])
+    calls = {"decomposition": 0, "ass": 0, "radical": 0}
+
+    def counting(name, real):
+        def wrapper(I, *args, **kwargs):
+            if I is N:
+                calls[name] += 1
+            return real(I, *args, **kwargs)
+        return wrapper
+
+    for name, fn in (("decomposition", "monomial_primary_decomposition"),
+                     ("ass", "monomial_associated_primes"),
+                     ("radical", "monomial_radical")):
+        monkeypatch.setattr(decomposition, fn,
+                            counting(name, getattr(decomposition, fn)))
+    report = verify_theorem_suite(N, fine)
+    assert report["status"] == "pass"
+    assert [c["detail"] for c in report["checks"]] == [
+        "4 classical components", "4 components",
+        "classical 4/3, graded 4/3", "vacuous: ideal is not G-radical",
+        "vacuous: ideal is not G-primary"]
+    assert calls == {"decomposition": 1, "ass": 0, "radical": 0}
