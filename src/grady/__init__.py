@@ -5,24 +5,20 @@ oracle over prime fields.
 """
 
 from .poly import (GF, GREVLEX, LEX, PolyParseError, Polynomial,
-                   PolynomialRing, QQ, RingMismatchError, TermOrder,
-                   parse_polynomial)
+                   PolynomialRing, QQ, ResourceLimitError, RingMismatchError,
+                   TermOrder, parse_polynomial)
 from .groebner import (GroebnerBasis, Ideal, buchberger, colon, eliminate,
-                       exact_quotient, groebner_basis, ideal_contains,
-                       ideal_equal, ideal_membership, ideal_power,
-                       ideal_product, ideal_sum, intersect, intersect_all,
-                       normal_form, radical_membership, saturate,
-                       saturate_ideal)
+                       exact_quotient, ideal_contains, ideal_equal,
+                       ideal_membership, ideal_power, ideal_product,
+                       ideal_sum, intersect, intersect_all, normal_form,
+                       radical_membership, saturate, saturate_ideal)
 from .grading import (GradedRing, GradingGroup, Hdeg, component_filter,
                       degree_of, homogeneous_components, is_g_ideal,
                       is_homogeneous, star)
 from .decomposition import (Decomposition, PrimaryComponent,
                             UnsupportedClassError, associated_primes,
                             classical_decomposition, is_monomial_ideal,
-                            minimal_primes, monomial_associated_primes,
-                            monomial_dimension,
-                            monomial_irreducible_components,
-                            monomial_minimal_primes,
+                            minimal_primes, monomial_dimension,
                             monomial_primary_decomposition, monomial_radical,
                             radical_ideal, univariate_primary_decomposition)
 from .gtheory import (GDecomposition, GPrimaryComponent,
@@ -32,9 +28,9 @@ from .gtheory import (GDecomposition, GPrimaryComponent,
                       poset_component, verify_theorem_suite)
 from .fitting import (PresentationMatrix, fitting_ideal, graded_matrix_check,
                       map_entries)
-from .oracle import (OracleVerdict, ResourceLimitError, Subspace,
-                     TruncatedSpace, oracle_compare, oracle_compare_rationals,
-                     truncated_ideal_basis, truncated_star_basis)
+from .oracle import (OracleVerdict, Subspace, TruncatedSpace, oracle_compare,
+                     oracle_compare_rationals, truncated_ideal_basis,
+                     truncated_star_basis)
 from .jobs import (Job, JobError, ResultDocument, execute_job, parse_job,
                    render_result, verify_document)
 

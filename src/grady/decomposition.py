@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import GREVLEX, Ideal, _monomial_min_gens, intersect_all
-from .poly import Polynomial
+from .poly import Polynomial, ResourceLimitError
 
 
 class UnsupportedClassError(Exception):
@@ -132,15 +132,6 @@ def _irreducible_split(gens, split):
     return sorted(out)
 
 
-def monomial_irreducible_components(I, split="first"):
-    ring = I.ring
-    gens = I.monomial_generators()
-    if not gens:
-        return [Ideal(ring)]
-    return [Ideal(ring, [ring.monomial(m) for m in comp])
-            for comp in _irreducible_split(gens, split)]
-
-
 def _irredundant(ideals, target):
     """Greedy drop-one pass in list order; the survivors are irredundant."""
     kept = list(ideals)
@@ -191,45 +182,9 @@ def monomial_primary_decomposition(I, split="first"):
     return Decomposition(I, tuple(components))
 
 
-def monomial_associated_primes(I):
-    """Ass(R/I): radicals of an irredundant irreducible decomposition."""
-    if I.is_unit:
-        raise ValueError("unit ideal")
-    ring = I.ring
-    gens = I.monomial_generators()
-    if not gens:
-        return [Ideal(ring)]
-    comps = monomial_irreducible_components(I)
-    supports = []
-    for q in _irredundant(comps, I):
-        sup = tuple(sorted({i for m in q.monomial_generators()
-                            for i in _support(m)}))
-        if sup not in supports:
-            supports.append(sup)
-    return [_variable_ideal(ring, sup) for sup in sorted(supports)]
-
-
-def monomial_minimal_primes(I):
-    ass = monomial_associated_primes(I)
-    sups = [frozenset(i for g in P.generators
-                      for i in _support(g.leading_monomial(GREVLEX)))
-            for P in ass]
-    out = []
-    for i, P in enumerate(ass):
-        if not any(j != i and sups[j] < sups[i] for j in range(len(ass))):
-            out.append(P)
-    return out
-
-
 def monomial_dimension(I):
     """Krull dimension of R/I for a proper monomial ideal."""
-    if I.is_unit:
-        raise ValueError("unit ideal")
-    n = I.ring.nvars
-    sizes = []
-    for P in monomial_minimal_primes(I):
-        sizes.append(len(P.generators))
-    return n - min(sizes)
+    return I.ring.nvars - min(len(P.generators) for P in minimal_primes(I))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +193,11 @@ def monomial_dimension(I):
 # by monic polynomials of ascending degree; over Q we take the squarefree
 # decomposition exactly and pull out linear factors by rational roots,
 # leaving any nonlinear squarefree residue as an assumed component.
+# Both searches enumerate candidates (monic polynomials over F_p, trial
+# divisors of the end coefficients over Q) and refuse with
+# ResourceLimitError before enumerating more than this many.
+MAX_FACTOR_CANDIDATES = 10 ** 5
+
 
 def _coeffs(f):
     d = f.total_degree()
@@ -320,10 +280,16 @@ def _fp_factor(f_coeffs, field):
     f = _monic_uni(_trim(list(f_coeffs)), field)
     factors = {}
     d = 1
+    candidates = 0
     while _deg(f) >= 1:
         if 2 * d > _deg(f):
             factors[tuple(f)] = factors.get(tuple(f), 0) + 1
             break
+        candidates += p ** d
+        if candidates > MAX_FACTOR_CANDIDATES:
+            raise ResourceLimitError(
+                f"factoring over F{p} would try {candidates} candidate "
+                f"factors, over the budget of {MAX_FACTOR_CANDIDATES}")
         for tail in itertools.product(range(p), repeat=d):
             g = list(tail) + [1]
             while True:
@@ -359,6 +325,10 @@ def _yun_squarefree(f_coeffs, field):
 
 def _divisors(n):
     n = abs(n)
+    if math.isqrt(n) > MAX_FACTOR_CANDIDATES:
+        raise ResourceLimitError(
+            f"rational root search would trial-divide {math.isqrt(n)} "
+            f"candidates, over the budget of {MAX_FACTOR_CANDIDATES}")
     out = set()
     d = 1
     while d * d <= n:
@@ -381,6 +351,8 @@ def _rational_roots(s_coeffs):
         break  # squarefree: at most one factor of x
     if _deg(ints) < 1:
         return roots
+    if _deg(ints) == 1:     # read the root off, no search
+        return sorted(roots + [Fraction(-ints[0], ints[1])])
     a0, alead = ints[0], ints[_deg(ints)]
     for p_ in _divisors(a0):
         for q_ in _divisors(alead):
@@ -457,22 +429,41 @@ def classical_decomposition(I):
         "primary decomposition only for monomial or univariate ideals")
 
 
+def _decompose_for_primes(I, what):
+    """classical_decomposition(I) for a prime-list query about I, with
+    that query's errors: "unit ideal", or "<what> outside supported
+    classes"."""
+    if I.is_unit:
+        raise ValueError("unit ideal")
+    try:
+        return classical_decomposition(I)
+    except UnsupportedClassError:
+        raise UnsupportedClassError(
+            f"{what} outside supported classes") from None
+
+
+def _primes_of(dec):
+    """Ass of the target of a minimal primary decomposition: its
+    radicals.  Monomial primes are listed by variable support."""
+    primes = [c.radical for c in dec.components]
+    if dec.target.is_monomial:
+        primes.sort(key=lambda P: sorted(
+            i for m in P.monomial_generators() for i in _support(m)))
+    return primes
+
+
+def _inclusion_minimal(primes):
+    return [p for p in primes
+            if not any(q <= p and not p <= q for q in primes)]
+
+
 def associated_primes(I):
-    if is_monomial_ideal(I):
-        return monomial_associated_primes(I)
-    if I.ring.nvars == 1:
-        dec = univariate_primary_decomposition(I)
-        return [c.radical for c in dec.components]
-    raise UnsupportedClassError("associated primes outside supported classes")
+    return _primes_of(_decompose_for_primes(I, "associated primes"))
 
 
 def minimal_primes(I):
-    if is_monomial_ideal(I):
-        return monomial_minimal_primes(I)
-    if I.ring.nvars == 1:
-        # principal in a PID-like setting: no embedded primes
-        return associated_primes(I)
-    raise UnsupportedClassError("minimal primes outside supported classes")
+    return _inclusion_minimal(
+        _primes_of(_decompose_for_primes(I, "minimal primes")))
 
 
 def radical_ideal(I):

@@ -311,10 +311,6 @@ class Ideal:
         return f"Ideal({gens})" if gens else "Ideal(0)"
 
 
-def groebner_basis(ideal, order=GREVLEX):
-    return ideal.groebner(order)
-
-
 def normal_form(f, ideal, order=GREVLEX):
     return ideal.groebner(order).normal_form(f)
 

@@ -4,8 +4,10 @@ A homogeneous ideal is G-primary when, among homogeneous elements, the
 usual primary condition holds; the G-radical of a homogeneous ideal is
 the star of its radical.  Everything here reduces those notions to
 classical decompositions in the supported classes plus the star
-operator, with optional caller-supplied classical decompositions as
-certificates (results are then labelled assumed, not verified).
+operator.  One minimal classical decomposition of the target answers
+every prime-list question; g_primary_decomposition also takes a
+caller-supplied one as a certificate, whose components' verified or
+assumed statuses carry over.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
-                            _irredundant, associated_primes, check_minimal,
-                            classical_decomposition, is_monomial_ideal,
-                            minimal_primes, radical_ideal)
+                            _decompose_for_primes, _inclusion_minimal,
+                            _irredundant, _primes_of, associated_primes,
+                            check_minimal, classical_decomposition,
+                            is_monomial_ideal, minimal_primes, radical_ideal)
 from .grading import is_g_ideal, star
-from .groebner import (GREVLEX, Ideal, colon, ideal_power, ideal_product,
+from .groebner import (Ideal, colon, ideal_power, ideal_product,
                        intersect_all, saturate_ideal)
 
 
@@ -28,15 +31,6 @@ def _canon_key(I):
 def _require_homogeneous(I, graded, what):
     if not is_g_ideal(I, graded):
         raise ValueError(f"{what} needs a homogeneous ideal")
-
-
-def _classical_for(I, classical):
-    if classical is None:
-        return classical_decomposition(I)
-    if classical.intersection() != I:
-        raise ValueError("certificate decomposition does not intersect "
-                         "to the ideal")
-    return classical
 
 
 @dataclass(frozen=True)
@@ -66,19 +60,14 @@ class GDecomposition:
                                            for c in self.components])
 
 
-def g_radical(I, graded, classical=None):
+def g_radical(I, graded):
     """star of the radical; the largest G-radical ideal inside sqrt(I)."""
     _require_homogeneous(I, graded, "g_radical")
-    if classical is None:
-        rad = radical_ideal(I)
-    else:
-        dec = _classical_for(I, classical)
-        rad = intersect_all([c.radical for c in dec.components], I.ring)
-    return star(rad, graded)
+    return star(radical_ideal(I), graded)
 
 
-def is_g_radical(I, graded, classical=None):
-    return g_radical(I, graded, classical) == I
+def is_g_radical(I, graded):
+    return g_radical(I, graded) == I
 
 
 def is_g_prime(P, graded):
@@ -90,30 +79,43 @@ def is_g_prime(P, graded):
     return any(star(p, graded) == P for p in minimal_primes(P))
 
 
-def is_g_primary(Q, graded, classical=None):
-    """A proper homogeneous Q is G-primary iff some component of its
-    minimal classical decomposition stars to Q itself."""
-    if Q.is_unit:
-        return False
-    _require_homogeneous(Q, graded, "is_g_primary")
-    dec = _classical_for(Q, classical)
+def _stars_to_itself(Q, graded, dec):
+    """Q is G-primary iff some component of its minimal classical
+    decomposition dec stars to Q itself."""
     return any(star(c.component, graded) == Q for c in dec.components)
 
 
+def is_g_primary(Q, graded):
+    if Q.is_unit:
+        return False
+    _require_homogeneous(Q, graded, "is_g_primary")
+    return _stars_to_itself(Q, graded, classical_decomposition(Q))
+
+
 def g_primary_decomposition(N, graded, classical=None):
-    """Minimal G-primary decomposition of a homogeneous ideal.
+    """Minimal G-primary decomposition of a homogeneous ideal, from its
+    classical decomposition or from a caller's certificate, which must
+    intersect to N."""
+    _require_homogeneous(N, graded, "g_primary_decomposition")
+    if N.is_unit:
+        raise ValueError("unit ideal has no primary decomposition")
+    if classical is None:
+        return _g_decompose(N, graded, classical_decomposition(N))
+    if classical.intersection() != N:
+        raise ValueError("certificate decomposition does not intersect "
+                         "to the ideal")
+    return _g_decompose(N, graded, classical)
+
+
+def _g_decompose(N, graded, dec):
+    """G-primary decomposition from a trusted minimal classical
+    decomposition dec of N.
 
     Stars each classical component, drops redundant ones, then merges
     components sharing a G-radical; intersections of G-primary ideals
     with equal G-radical stay G-primary, so merging is sound and the
     result is minimal.
     """
-    _require_homogeneous(N, graded, "g_primary_decomposition")
-    ring = N.ring
-    if N.is_unit:
-        raise ValueError("unit ideal has no primary decomposition")
-    dec = _classical_for(N, classical)
-
     starred = []
     for c in dec.components:
         S = star(c.component, graded)
@@ -136,25 +138,12 @@ def g_primary_decomposition(N, graded, classical=None):
 
     components = []
     for P, group in by_radical:
-        comp = intersect_all([g.component for g in group], ring)
+        comp = intersect_all([g.component for g in group], N.ring)
         status = VERIFIED if all(g.status == VERIFIED for g in group) \
             else ASSUMED
         components.append(GPrimaryComponent(comp, P, status))
     components.sort(key=lambda g: _canon_key(g.g_radical))
     return GDecomposition(N, tuple(components))
-
-
-def _classical_primes(N, classical):
-    """Ass(N): the certificate's radicals, or computed in a supported
-    class."""
-    if classical is None:
-        return associated_primes(N)
-    return [c.radical for c in _classical_for(N, classical).components]
-
-
-def _inclusion_minimal(primes):
-    return [p for p in primes
-            if not any(q <= p and not p <= q for q in primes)]
 
 
 def _starred(primes, graded):
@@ -168,12 +157,13 @@ def _starred(primes, graded):
     return out
 
 
-def _g_ass_checked(N, graded, classical, gdec, ass):
-    """Stars of ass, cross-checked against the G-radicals of the G-primary
-    decomposition; a mismatch would be an internal error."""
-    out = _starred(ass, graded)
+def _g_ass(N, graded, dec, gdec):
+    """Stars of Ass(N), read from its minimal classical decomposition
+    dec, cross-checked against the G-radicals of gdec (built from dec
+    when None); a mismatch would be an internal error."""
+    out = _starred(_primes_of(dec), graded)
     if gdec is None:
-        gdec = g_primary_decomposition(N, graded, classical)
+        gdec = _g_decompose(N, graded, dec)
     radicals = [c.g_radical for c in gdec.components]
     if len(radicals) != len(out) or \
             any(not any(P == Q for Q in radicals) for P in out):
@@ -182,28 +172,30 @@ def _g_ass_checked(N, graded, classical, gdec, ass):
     return out
 
 
-def g_associated_primes(N, graded, classical=None, gdec=None):
-    """Stars of the classical associated primes, deduplicated."""
-    _require_homogeneous(N, graded, "g_associated_primes")
-    return _g_ass_checked(N, graded, classical, gdec,
-                          _classical_primes(N, classical))
-
-
-def g_minimal_primes(N, graded, classical=None, gdec=None):
-    """Stars of the inclusion-minimal classical associated primes,
-    deduplicated; every G-associated prime must contain one of them."""
-    _require_homogeneous(N, graded, "g_minimal_primes")
-    try:
-        ass = _classical_primes(N, classical)
-    except UnsupportedClassError:
-        raise UnsupportedClassError(
-            "minimal primes outside supported classes") from None
-    out = _starred(_inclusion_minimal(ass), graded)
-    for P in _g_ass_checked(N, graded, classical, gdec, ass):
+def _g_min(N, graded, dec, gdec):
+    """Stars of the inclusion-minimal members of Ass(N); every
+    G-associated prime must contain one of them."""
+    out = _starred(_inclusion_minimal(_primes_of(dec)), graded)
+    for P in _g_ass(N, graded, dec, gdec):
         if not any(Q <= P for Q in out):
             raise AssertionError("a G-associated prime contains no "
                                  "G-minimal prime")
     return out
+
+
+def g_associated_primes(N, graded, gdec=None):
+    """Stars of the classical associated primes, deduplicated."""
+    _require_homogeneous(N, graded, "g_associated_primes")
+    return _g_ass(N, graded, _decompose_for_primes(N, "associated primes"),
+                  gdec)
+
+
+def g_minimal_primes(N, graded, gdec=None):
+    """Stars of the inclusion-minimal classical associated primes,
+    deduplicated."""
+    _require_homogeneous(N, graded, "g_minimal_primes")
+    return _g_min(N, graded, _decompose_for_primes(N, "minimal primes"),
+                  gdec)
 
 
 def poset_component(gdec, omega):
@@ -272,33 +264,25 @@ def _dimension_of_prime(P):
     raise UnsupportedClassError("dimension outside supported classes")
 
 
-def verify_theorem_suite(I, graded, classical=None):
+def verify_theorem_suite(I, graded):
     """Structural consequences of the decomposition theory, checked on a
     concrete ideal.  Returns a report dict; statuses are pass, fail,
-    assumed (certificate-dependent) or unsupported (class dispatch
-    failed), and nothing is ever silently skipped.
+    assumed (resting on an assumed classical component) or unsupported
+    (class dispatch failed), and nothing is ever silently skipped.
     """
     checks = []
 
     def add(name, status, detail=""):
         checks.append({"name": name, "status": status, "detail": detail})
 
-    # The target's classical decomposition, once: the certificate, or
-    # computed here (after the homogeneity check g_primary_decomposition
-    # would make first).  Beside a certificate, checks (c)-(e) still
-    # compute Ass(I) and Min(I) in the target's class, so outside the
-    # supported classes they report unsupported.
+    # The target's classical decomposition, once (after the homogeneity
+    # check g_primary_decomposition makes first); every check below reads
+    # Ass(I), Min(I) and the G-primary decomposition from it.
     _require_homogeneous(I, graded, "g_primary_decomposition")
-    if classical is None:
-        dec = classical_decomposition(I)
-        own_ass = [c.radical for c in dec.components]
-        own_min = _inclusion_minimal(own_ass)
-        target_ass, target_min = (lambda: own_ass), (lambda: own_min)
-    else:
-        dec = classical
-        target_ass = lambda: associated_primes(I)
-        target_min = lambda: minimal_primes(I)
-    gdec = g_primary_decomposition(I, graded, dec)
+    dec = classical_decomposition(I)
+    gdec = _g_decompose(I, graded, dec)
+    ass = _primes_of(dec)
+    mins = _inclusion_minimal(ass)
     certified = all(c.status == VERIFIED for c in gdec.components)
 
     # (a) concatenating classical decompositions of the G-components
@@ -321,10 +305,10 @@ def verify_theorem_suite(I, graded, classical=None):
     try:
         ok = True
         for c in gdec.components:
-            ass = associated_primes(c.component)
-            mins = minimal_primes(c.component)
-            if len(ass) != len(mins) or \
-                    any(not any(p == q for q in mins) for p in ass):
+            c_ass = associated_primes(c.component)
+            c_min = _inclusion_minimal(c_ass)
+            if len(c_ass) != len(c_min) or \
+                    any(not any(p == q for q in c_min) for p in c_ass):
                 ok = False
                 break
         add("components-have-no-embedded-primes",
@@ -334,10 +318,9 @@ def verify_theorem_suite(I, graded, classical=None):
 
     # (c) Ass_G equals Min_G exactly when Ass equals Min.
     try:
-        ass, mins = target_ass(), target_min()
         classical_flat = len(ass) == len(mins)
-        gass = g_associated_primes(I, graded, dec, gdec=gdec)
-        gmin = g_minimal_primes(I, graded, dec, gdec=gdec)
+        gass = _g_ass(I, graded, dec, gdec)
+        gmin = _g_min(I, graded, dec, gdec)
         g_flat = len(gass) == len(gmin)
         add("g-ass-equals-g-min-iff-classical",
             "pass" if classical_flat == g_flat else "fail",
@@ -346,10 +329,10 @@ def verify_theorem_suite(I, graded, classical=None):
     except UnsupportedClassError as exc:
         add("g-ass-equals-g-min-iff-classical", "unsupported", str(exc))
 
-    # (d) a G-radical ideal has no embedded primes.
+    # (d) a G-radical ideal (the star of its radical, the intersection
+    # of Ass(I), is I itself) has no embedded primes.
     try:
-        if is_g_radical(I, graded, dec):
-            ass, mins = target_ass(), target_min()
+        if star(intersect_all(ass, I.ring), graded) == I:
             ok = len(ass) == len(mins)
             add("g-radical-has-no-embedded-primes",
                 "pass" if ok else "fail", f"{len(ass)} associated primes")
@@ -361,8 +344,8 @@ def verify_theorem_suite(I, graded, classical=None):
 
     # (e) a G-primary ideal is equidimensional.
     try:
-        if is_g_primary(I, graded, dec):
-            dims = {_dimension_of_prime(p) for p in target_min()}
+        if _stars_to_itself(I, graded, dec):
+            dims = {_dimension_of_prime(p) for p in mins}
             add("g-primary-is-equidimensional",
                 "pass" if len(dims) == 1 else "fail",
                 f"dimensions {sorted(dims)}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .decomposition import (UnsupportedClassError, associated_primes,
                             classical_decomposition, minimal_primes)
@@ -32,10 +32,9 @@ from .groebner import (GREVLEX, Ideal, colon, eliminate, ideal_membership,
 from .gtheory import (g_associated_primes, g_minimal_primes,
                       g_primary_decomposition, g_radical, is_g_primary,
                       is_g_prime, is_g_radical, verify_theorem_suite)
-from .oracle import (ResourceLimitError, oracle_compare,
-                     oracle_compare_rationals)
+from .oracle import oracle_compare, oracle_compare_rationals
 from .poly import (GF, LEX, QQ, PolyParseError, PolynomialRing,
-                   parse_polynomial)
+                   ResourceLimitError, parse_polynomial)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -69,31 +68,6 @@ class Job:
     op: str
     args: list
     options: dict
-    matrix_specs: dict = field(default_factory=dict)
-
-    def echo(self):
-        """Canonical JSON-ready form; parsing it back yields an equal Job."""
-        p = self.ring.field.characteristic
-        doc = {
-            "ring": {"field": "Q" if p == 0 else f"F{p}",
-                     "vars": list(self.ring.variables)},
-            "grading": {
-                "free_rank": self.graded.group.free_rank,
-                "torsion": list(self.graded.group.torsion),
-                "degrees": [[list(d.free), list(d.torsion)]
-                            for d in self.graded.degrees],
-            },
-            "ideals": {name: [str(g) for g in I.generators]
-                       for name, I in sorted(self.ideals.items())},
-            "matrices": {name: dict(spec)
-                         for name, spec in sorted(self.matrix_specs.items())},
-            "command": {"op": self.op, "args": list(self.args),
-                        "options": dict(sorted(self.options.items()))},
-        }
-        return doc
-
-    def __eq__(self, other):
-        return isinstance(other, Job) and self.echo() == other.echo()
 
 
 def _parse_field(text, path):
@@ -188,7 +162,6 @@ def parse_job(text):
         ideals[name] = Ideal(ring, polys)
 
     matrices = {}
-    matrix_specs = {}
     for name, spec in _expect(data.get("matrices", {}), "matrices", dict,
                               "an object").items():
         mpath = f"matrices.{name}"
@@ -231,7 +204,6 @@ def parse_job(text):
             degs[side] = out
         matrices[name] = PresentationMatrix(ring, grid, degs["row_degrees"],
                                             degs["col_degrees"])
-        matrix_specs[name] = spec
 
     command = _expect(data.get("command"), "command", dict, "an object")
     _only_keys(command, "command", {"op", "args", "options"})
@@ -248,8 +220,7 @@ def parse_job(text):
     if bound is not None and (type(bound) is not int or bound < 0):
         raise JobError("command.options.degree_bound",
                        "expected a natural number")
-    return Job(ring, graded, ideals, matrices, op, list(args), dict(options),
-               matrix_specs)
+    return Job(ring, graded, ideals, matrices, op, list(args), dict(options))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +530,7 @@ def verify_document(job):
         entry = {}
         try:
             report = verify_theorem_suite(I, job.graded)
-        except UnsupportedClassError as exc:
+        except (UnsupportedClassError, ResourceLimitError) as exc:
             report = {"status": "unsupported", "checks": [],
                       "detail": str(exc)}
         except (ValueError, ArithmeticError) as exc:

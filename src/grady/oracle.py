@@ -18,7 +18,7 @@ import numpy as np
 
 from .grading import GradedRing, star
 from .groebner import GREVLEX, Ideal
-from .poly import GF, Polynomial, PolynomialRing
+from .poly import GF, Polynomial, PolynomialRing, ResourceLimitError
 
 
 def monomials_up_to(nvars, bound):
@@ -38,10 +38,6 @@ def monomials_up_to(nvars, bound):
 
 # One dim x dim int64 matrix (the normal-form map) stays within 128 MiB.
 MAX_SPACE_DIMENSION = 4096
-
-
-class ResourceLimitError(Exception):
-    """The job would need more memory than a fixed budget allows."""
 
 
 class TruncatedSpace:

@@ -23,6 +23,10 @@ class RingMismatchError(ValueError):
     pass
 
 
+class ResourceLimitError(Exception):
+    """The job would need more time or memory than a fixed budget allows."""
+
+
 def _is_prime(p):
     # Deterministic Miller-Rabin; bases 2,3,5,7 decide primality below 3.2e9,
     # which covers the allowed range p < 2**31.
@@ -133,10 +137,6 @@ def mono_lcm(a, b):
 
 def mono_gcd(a, b):
     return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a):
-    return sum(a)
 
 
 class TermOrder:
@@ -426,9 +426,6 @@ class Polynomial:
     def is_constant(self):
         return all(not any(m) for m in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero)
 
@@ -496,10 +493,6 @@ class Polynomial:
 # Printing.  Terms are emitted in descending grevlex so output is stable;
 # the result reparses to the same polynomial.
 
-def _render_coeff(c):
-    return str(c)
-
-
 def render_polynomial(f):
     if not f.terms:
         return "0"
@@ -517,11 +510,11 @@ def render_polynomial(f):
             elif e > 1:
                 factors.append(f"{name}^{e}")
         if not factors:
-            body = _render_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_render_coeff(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:

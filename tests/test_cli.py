@@ -109,6 +109,30 @@ def test_oversized_oracle_space_exits_three(tmp_path, capsys, monkeypatch):
     assert "budget" in oracle_entry["reason"]
 
 
+@pytest.mark.parametrize("field, generator, detail", [
+    ("F2147483647", "x^2 + 1", "factoring over F2147483647"),
+    ("Q", "x^2 - 1000000000000000000000000000000", "rational root search"),
+], ids=["large-prime", "large-root-bound"])
+def test_factoring_over_budget_exits_three(tmp_path, capsys, field,
+                                           generator, detail):
+    doc = {"ring": {"field": field, "vars": ["x"]},
+           "ideals": {"I": [generator]},
+           "command": {"op": "decompose", "args": ["I"], "options": {}}}
+    path = _write_job(tmp_path, doc)
+    code = cli.main(["run", path])
+    out, _ = capsys.readouterr()
+    result = json.loads(out)
+    assert code == 3 and result["status"] == "unsupported"
+    assert result["payload"]["reason"] == "budget"
+    assert detail in result["payload"]["detail"]
+
+    code = cli.main(["verify", path])
+    out, _ = capsys.readouterr()
+    theorems = json.loads(out)["payload"]["ideals"]["I"]["theorems"]
+    assert code == 0 and theorems["status"] == "unsupported"
+    assert detail in theorems["detail"]
+
+
 def test_verify_exit_zero(tmp_path, capsys):
     doc = json.loads(json.dumps(STAR_JOB))
     doc["ideals"] = {"I": ["x^4", "x^3*y"]}

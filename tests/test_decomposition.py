@@ -1,21 +1,21 @@
 """Primary decomposition over the supported classes: monomial ideals in
 any number of variables, arbitrary ideals on a line."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grady.decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
                                  associated_primes, classical_decomposition,
                                  is_monomial_ideal, minimal_primes,
-                                 monomial_associated_primes,
                                  monomial_dimension,
-                                 monomial_irreducible_components,
-                                 monomial_minimal_primes,
                                  monomial_primary_decomposition,
                                  monomial_radical, radical_ideal,
                                  univariate_primary_decomposition)
-from grady.groebner import Ideal, intersect_all
+from grady.groebner import Ideal, colon, intersect_all
 from grady.poly import GF, QQ, PolynomialRing
 
 
@@ -35,13 +35,6 @@ def test_monomial_radical(Rxy):
     I = Ideal(Rxy, ["x^3", "x^2*y^2", "y^4"])
     assert monomial_radical(I) == Ideal(Rxy, ["x", "y"])
     assert monomial_radical(Ideal(Rxy, ["x^2*y"])) == Ideal(Rxy, ["x*y"])
-
-
-def test_irreducible_components(Rxy):
-    comps = monomial_irreducible_components(Ideal(Rxy, ["x^2", "x*y"]))
-    keys = sorted(tuple(str(g) for g in c.canonical_generators())
-                  for c in comps)
-    assert keys == [("x",), ("x^2", "y")]
 
 
 def test_primary_decomposition_of_corner_ideal(Rxy):
@@ -78,11 +71,11 @@ def test_split_orders_can_disagree():
 def test_associated_and_minimal_primes():
     R = PolynomialRing(QQ, ("x", "y", "z"))
     I = Ideal(R, ["x^2*y", "x*z"])
-    ass = monomial_associated_primes(I)
+    ass = associated_primes(I)
     keys = sorted(tuple(str(g) for g in P.canonical_generators())
                   for P in ass)
     assert keys == [("x",), ("x", "z"), ("y", "z")]
-    mins = monomial_minimal_primes(I)
+    mins = minimal_primes(I)
     keys = sorted(tuple(str(g) for g in P.canonical_generators())
                   for P in mins)
     assert keys == [("x",), ("y", "z")]
@@ -134,6 +127,16 @@ def test_univariate_rational_roots_use_both_signs():
     assert all(c.status == VERIFIED for c in dec.components)
 
 
+def test_linear_factor_over_q_needs_no_root_search():
+    R = PolynomialRing(QQ, ("x",))
+    dec = univariate_primary_decomposition(
+        Ideal(R, ["x * (3*x - 100000000000000000000000)^2"]))
+    assert [str(c.radical.canonical_generators()[0])
+            for c in dec.components] == [
+        "x", "x - 100000000000000000000000/3"]
+    assert all(c.status == VERIFIED for c in dec.components)
+
+
 def test_dispatchers(Rxy):
     # zero ideal: one zero component
     dec = classical_decomposition(Ideal(Rxy))
@@ -177,8 +180,8 @@ def test_random_monomial_invariants():
             continue
         dec = monomial_primary_decomposition(I)
         assert dec.check()
-        ass = monomial_associated_primes(I)
-        mins = monomial_minimal_primes(I)
+        ass = associated_primes(I)
+        mins = minimal_primes(I)
         min_keys = {tuple(str(g) for g in P.canonical_generators())
                     for P in mins}
         ass_keys = {tuple(str(g) for g in P.canonical_generators())
@@ -186,3 +189,39 @@ def test_random_monomial_invariants():
         assert min_keys <= ass_keys
         # radical is the intersection of the minimal primes
         assert monomial_radical(I) == intersect_all(mins, R)
+
+
+def _key(P):
+    return frozenset(str(g) for g in P.canonical_generators())
+
+
+@st.composite
+def _monomial_ideals(draw):
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return n, draw(st.lists(exps, max_size=4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_monomial_ideals())
+@example((2, []))
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]))
+@example((4, [(3, 1, 0, 0), (2, 0, 2, 0), (0, 2, 1, 0), (0, 0, 0, 1)]))
+def test_associated_primes_are_the_prime_colons(case):
+    """Ass(I) is the set of primes I : m, where m runs over the monomials
+    with each exponent at most that variable's largest generator
+    exponent; Min(I) is its inclusion-minimal part."""
+    n, gens = case
+    R = PolynomialRing(GF(5), ("x", "y", "z", "w")[:n])
+    I = Ideal(R, [R.monomial(m) for m in gens])
+    top = [max((m[i] for m in gens), default=0) for i in range(n)]
+    prime_colons = set()
+    for m in itertools.product(*(range(t + 1) for t in top)):
+        J = colon(I, R.monomial(m))
+        if all(sum(e) == 1 for e in J.monomial_generators()):
+            prime_colons.add(_key(J))
+    ass = [_key(P) for P in associated_primes(I)]
+    assert len(ass) == len(set(ass))
+    assert set(ass) == prime_colons
+    assert {_key(P) for P in minimal_primes(I)} == \
+        {P for P in prime_colons if not any(Q < P for Q in prime_colons)}

@@ -196,55 +196,73 @@ def test_check_detects_each_failure_mode(Rxy, cls, part, mode):
         bad.check()
 
 
-def test_theorems_and_g_min_reuse_finished_work(monkeypatch):
+def _xyz_target():
     ring = PolynomialRing(GF(5), ("x", "y", "z"))
     fine = GradedRing(ring, GradingGroup(3, ()),
                       [((1, 0, 0), ()), ((0, 1, 0), ()), ((0, 0, 1), ())])
-    N = Ideal(ring, ["x^3*y", "x^2*z^2", "y^2*z"])
-    calls = {"gdec": 0, "ass": 0}
-    real_gdec = gtheory.g_primary_decomposition
-    real_ass = decomposition.monomial_associated_primes
+    return Ideal(ring, ["x^3*y", "x^2*z^2", "y^2*z"]), fine
 
-    def gdec(*args, **kwargs):
-        calls["gdec"] += 1
-        return real_gdec(*args, **kwargs)
 
-    def ass(*args, **kwargs):
-        calls["ass"] += 1
-        return real_ass(*args, **kwargs)
+def _count_calls(monkeypatch, module, name, calls, only=None):
+    """Wrap module.name so that calls[name] counts its calls (those whose
+    first argument is `only`, when given)."""
+    real = getattr(module, name)
+    calls[name] = 0
 
-    monkeypatch.setattr(gtheory, "g_primary_decomposition", gdec)
-    monkeypatch.setattr(decomposition, "monomial_associated_primes", ass)
+    def wrapper(first, *args, **kwargs):
+        if only is None or first is only:
+            calls[name] += 1
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_theorems_and_g_min_reuse_finished_work(monkeypatch):
+    N, fine = _xyz_target()
+    calls = {}
+    _count_calls(monkeypatch, gtheory, "_g_decompose", calls)
+    _count_calls(monkeypatch, decomposition,
+                 "monomial_primary_decomposition", calls)
     assert verify_theorem_suite(N, fine)["status"] == "pass"
-    assert calls["gdec"] == 1
-    calls["ass"] = 0
+    assert calls["_g_decompose"] == 1
+    calls["monomial_primary_decomposition"] = 0
     g_minimal_primes(N, fine)
-    assert calls["ass"] == 1
+    assert calls["monomial_primary_decomposition"] == 1
 
 
 def test_theorem_suite_decomposes_the_target_once(monkeypatch):
-    ring = PolynomialRing(GF(5), ("x", "y", "z"))
-    fine = GradedRing(ring, GradingGroup(3, ()),
-                      [((1, 0, 0), ()), ((0, 1, 0), ()), ((0, 0, 1), ())])
-    N = Ideal(ring, ["x^3*y", "x^2*z^2", "y^2*z"])
-    calls = {"decomposition": 0, "ass": 0, "radical": 0}
-
-    def counting(name, real):
-        def wrapper(I, *args, **kwargs):
-            if I is N:
-                calls[name] += 1
-            return real(I, *args, **kwargs)
-        return wrapper
-
-    for name, fn in (("decomposition", "monomial_primary_decomposition"),
-                     ("ass", "monomial_associated_primes"),
-                     ("radical", "monomial_radical")):
-        monkeypatch.setattr(decomposition, fn,
-                            counting(name, getattr(decomposition, fn)))
+    N, fine = _xyz_target()
+    calls = {}
+    for name in ("monomial_primary_decomposition", "monomial_radical"):
+        _count_calls(monkeypatch, decomposition, name, calls, only=N)
     report = verify_theorem_suite(N, fine)
     assert report["status"] == "pass"
     assert [c["detail"] for c in report["checks"]] == [
         "4 classical components", "4 components",
         "classical 4/3, graded 4/3", "vacuous: ideal is not G-radical",
         "vacuous: ideal is not G-primary"]
-    assert calls == {"decomposition": 1, "ass": 0, "radical": 0}
+    assert calls == {"monomial_primary_decomposition": 1,
+                     "monomial_radical": 0}
+
+
+@pytest.mark.parametrize("query", [g_associated_primes, g_minimal_primes])
+def test_g_prime_lists_split_the_target_once(monkeypatch, query):
+    N, fine = _xyz_target()
+    calls = {}
+    _count_calls(monkeypatch, decomposition, "_irreducible_split", calls)
+    assert query(N, fine)
+    assert calls["_irreducible_split"] == 1
+
+
+def test_theorem_suite_trusts_its_own_decomposition(monkeypatch):
+    N, fine = _xyz_target()
+    calls = {"intersection": 0}
+    real = Decomposition.intersection
+
+    def intersection(self):
+        calls["intersection"] += 1
+        return real(self)
+
+    monkeypatch.setattr(Decomposition, "intersection", intersection)
+    assert verify_theorem_suite(N, fine)["status"] == "pass"
+    assert calls["intersection"] == 0

@@ -33,12 +33,6 @@ def test_parse_and_execute_star():
     assert parsed["status"] == "ok"
 
 
-def test_echo_round_trip():
-    job = parse_job(_job())
-    again = parse_job(json.dumps(job.echo()))
-    assert again == job
-
-
 def test_grading_defaults_to_trivial():
     job = parse_job(_job(grading=None))
     assert job.graded.group.is_trivial
