@@ -115,7 +115,7 @@ def homogeneous_components(f, graded):
     """Split f by degree; returns {Hdeg: component}, insertion-ordered by
     descending grevlex leading term so iteration is reproducible."""
     buckets = {}
-    for m in sorted(f.terms, key=GREVLEX.key, reverse=True):
+    for m in sorted(f.terms, key=GREVLEX.desc_key):
         d = graded.degree_of_monomial(m)
         buckets.setdefault(d, {})[m] = f.terms[m]
     return {d: Polynomial(f.ring, t, _clean=True)
@@ -162,14 +162,13 @@ def component_filter(I, graded):
 def _primed(ring, reduced_elements):
     """Ideal whose grevlex basis is already known; avoids re-running
     Buchberger on every published result."""
-    ascending = sorted(
-        reduced_elements,
-        key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
-    canonical = sorted(ascending,
-                       key=lambda g: g.leading_monomial(GREVLEX),
-                       reverse=True)
-    out = Ideal(ring, canonical)
-    out._bases[GREVLEX] = GroebnerBasis(ring, GREVLEX, ascending)
+    ascending = sorted(((g.leading_monomial(GREVLEX), g)
+                        for g in reduced_elements),
+                       key=lambda e: GREVLEX.key(e[0]))
+    gb = GroebnerBasis(ring, GREVLEX, [g for _, g in ascending],
+                       [lm for lm, _ in ascending])
+    out = Ideal(ring, gb.by_lead_descending())
+    out._bases[GREVLEX] = gb
     return out
 
 

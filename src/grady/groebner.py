@@ -1,6 +1,13 @@
 """Buchberger-based ideal arithmetic: bases, membership, intersection,
 quotients, saturation, elimination.
 
+Buchberger's algorithm here uses the Gebauer-Moller pair update (Gebauer
+and Moller 1988): each new basis element prunes its own new S-pairs and
+the queued ones by the chain and product criteria before anything is
+keyed, and retires the elements whose leads it divides.  Division is
+heap-based (Monagan and Pearce 2007): each monomial's order key is
+computed once, when it first enters the working polynomial.
+
 Determinism contract: S-pairs are processed in a fixed order (lcm under the
 working order, then generator indices), bases are reduced and monic, and
 every published generator list is sorted, so identical inputs give identical
@@ -10,22 +17,25 @@ output bytes.
 from __future__ import annotations
 
 import heapq
+from operator import add, itemgetter, le, sub
 
 from .poly import (GREVLEX, Polynomial, TermOrder, fresh_names, mono_div,
                    mono_divides, mono_gcd, mono_lcm, mono_mul)
 
 
 class GroebnerBasis:
-    """Reduced monic basis for an ideal under a fixed order."""
+    """Reduced monic basis for an ideal under a fixed order: elements
+    ascending in the order, with their leading monomials."""
 
-    __slots__ = ("ring", "order", "elements", "_reducers")
+    __slots__ = ("ring", "order", "elements", "leads", "_reducers")
 
-    def __init__(self, ring, order, elements):
+    def __init__(self, ring, order, elements, leads):
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
+        self.leads = tuple(leads)
         self._reducers = tuple(
-            (g.leading_monomial(order), g.terms) for g in self.elements)
+            (lm, g.terms) for lm, g in zip(self.leads, self.elements))
 
     def normal_form(self, f):
         if f.ring != self.ring:
@@ -39,8 +49,13 @@ class GroebnerBasis:
 
     @property
     def is_unit(self):
-        return (len(self.elements) == 1
-                and not any(self.elements[0].leading_monomial(self.order)))
+        return len(self.leads) == 1 and not any(self.leads[0])
+
+    def by_lead_descending(self):
+        """Elements sorted by leading exponent tuple, lexicographically
+        descending."""
+        return [g for _, g in sorted(zip(self.leads, self.elements),
+                                     key=itemgetter(0), reverse=True)]
 
     def __iter__(self):
         return iter(self.elements)
@@ -50,44 +65,50 @@ class GroebnerBasis:
 
 
 def _reduce_full(work, reducers, order, field):
-    """Fully reduce a term dict against monic reducers; returns the
-    remainder dict.  First reducer in list order whose lead divides wins."""
+    """Fully reduce a term dict (consumed) against monic reducers; returns
+    the remainder dict, its terms inserted in descending order.  First
+    reducer in list order whose lead divides wins.
+
+    A heap of (desc_key, monomial) beside work yields the terms largest
+    first; a cancelled term stays in work with coefficient zero, so each
+    monomial is keyed and pushed once and popped zeros are skipped.
+    """
     p = field.characteristic
-    key = order.key
+    dkey = order.desc_key
+    heap = [(dkey(m), m) for m in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     remainder = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = None
+    while heap:
+        m = pop(heap)[1]
+        c = work[m]
+        if not c:
+            continue
         for lm, gterms in reducers:
-            if mono_divides(lm, m):
-                hit = (lm, gterms)
+            if all(map(le, lm, m)):
                 break
-        if hit is None:
+        else:
             remainder[m] = c
             continue
-        lm, gterms = hit
-        shift = tuple(a - b for a, b in zip(m, lm))
+        shift = tuple(map(sub, m, lm))
         for gm, gc in gterms.items():
             if gm == lm:
                 continue
-            mm = tuple(a + b for a, b in zip(gm, shift))
-            s = work.get(mm, 0) - c * gc
-            if p:
-                s %= p
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
+            mm = tuple(map(add, gm, shift))
+            old = work.get(mm)
+            if old is None:
+                old = 0
+                push(heap, (dkey(mm), mm))
+            s = old - c * gc
+            work[mm] = s % p if p else s
     return remainder
 
 
-def _spoly_terms(lm_f, f_terms, lm_g, g_terms, field):
-    """S-polynomial term dict for monic f, g."""
+def _spoly_terms(lcm, lm_f, f_terms, lm_g, g_terms, field):
+    """S-polynomial term dict for monic f, g whose leads have this lcm."""
     p = field.characteristic
-    lcm = mono_lcm(lm_f, lm_g)
-    sf = tuple(a - b for a, b in zip(lcm, lm_f))
-    sg = tuple(a - b for a, b in zip(lcm, lm_g))
+    sf = tuple(map(sub, lcm, lm_f))
+    sg = tuple(map(sub, lcm, lm_g))
     out = {}
     for m, c in f_terms.items():
         out[mono_mul(m, sf)] = c
@@ -116,113 +137,115 @@ def _monomial_min_gens(monomials):
 def buchberger(generators, order):
     """Reduced monic Groebner basis of the generated ideal.
 
-    Product and chain criteria prune S-pairs; the queue is a heap keyed by
-    (order key of the pair lcm, i, j) so runs are reproducible.
+    The generators enter one at a time, ascending by lead, and so does
+    each nonzero S-polynomial remainder; every entry runs the
+    Gebauer-Moller update (_update).  Queued pairs live in a dict keyed by
+    (i, j) beside a heap of (order key of the pair lcm, i, j), from which
+    deleted pairs are dropped when popped, so runs are reproducible.
     """
     ring = generators[0].ring
     field = ring.field
     seed = [g for g in generators if not g.is_zero]
     if not seed:
-        return GroebnerBasis(ring, order, ())
-
-    if all(g.is_monomial for g in seed):
-        gens = _monomial_min_gens([g.leading_monomial(order) for g in seed])
-        elems = [ring.monomial(m) for m in
-                 sorted(gens, key=order.key)]
-        return GroebnerBasis(ring, order, elems)
+        return GroebnerBasis(ring, order, (), ())
 
     key = order.key
-    basis = []          # list of (lm, terms) with monic terms
-    for g in sorted(seed, key=lambda h: key(h.leading_monomial(order))):
-        basis.append(_monic_entry(g, order, field))
+    if all(g.is_monomial for g in seed):
+        gens = sorted(_monomial_min_gens([g.leading_monomial(order)
+                                          for g in seed]), key=key)
+        return GroebnerBasis(ring, order, [ring.monomial(m) for m in gens],
+                             gens)
 
-    pending = set()
+    basis = []          # (lm, monic terms); retired entries still reduce
+    live = []           # indices of the entries that take new pairs
+    pairs = {}          # (i, j) -> lcm of every queued pair
     heap = []
-    for j in range(len(basis)):
-        for i in range(j):
-            _push_pair(heap, pending, basis, i, j, key)
+    entries = [_monic(g.leading_monomial(order), g.terms, field)
+               for g in seed]
+    for entry in sorted(entries, key=lambda e: key(e[0])):
+        _update(basis, live, pairs, heap, entry, key)
 
     while heap:
-        _, lcm, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        lm_i, ti = basis[i]
-        lm_j, tj = basis[j]
-        if lcm == mono_mul(lm_i, lm_j):
-            continue  # coprime leads: S-pair reduces to zero
-        if _chain_deletable(basis, pending, i, j, lcm):
+        _, i, j = heapq.heappop(heap)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
             continue
-        s = _spoly_terms(lm_i, ti, lm_j, tj, field)
+        s = _spoly_terms(lcm, *basis[i], *basis[j], field)
         rem = _reduce_full(s, basis, order, field)
-        if not rem:
-            continue
-        lead = max(rem, key=key)
-        inv = field.inv(rem[lead])
-        p = field.characteristic
-        if p:
-            rem = {m: (c * inv) % p for m, c in rem.items()}
-        else:
-            rem = {m: c * inv for m, c in rem.items()}
-        basis.append((lead, rem))
-        t = len(basis) - 1
-        for i2 in range(t):
-            _push_pair(heap, pending, basis, i2, t, key)
+        if rem:     # the remainder's first term is its lead
+            _update(basis, live, pairs, heap,
+                    _monic(next(iter(rem)), rem, field), key)
 
-    return GroebnerBasis(ring, order, _reduce_basis(basis, order, ring))
+    leads, elements = _reduce_basis([basis[i] for i in live], order, ring)
+    return GroebnerBasis(ring, order, elements, leads)
 
 
-def _monic_entry(g, order, field):
-    lm, c = g.leading_term(order)
+def _monic(lm, terms, field):
+    """(lm, terms) scaled so the coefficient at lm becomes one."""
+    c = terms[lm]
     if c == field.one:
-        return (lm, dict(g.terms))
+        return (lm, terms)
     inv = field.inv(c)
     p = field.characteristic
     if p:
-        return (lm, {m: (a * inv) % p for m, a in g.terms.items()})
-    return (lm, {m: a * inv for m, a in g.terms.items()})
+        return (lm, {m: (a * inv) % p for m, a in terms.items()})
+    return (lm, {m: a * inv for m, a in terms.items()})
 
 
-def _push_pair(heap, pending, basis, i, j, key):
-    lcm = mono_lcm(basis[i][0], basis[j][0])
-    heapq.heappush(heap, (key(lcm), lcm, i, j))
-    pending.add((i, j))
+def _update(basis, live, pairs, heap, entry, key):
+    """Gebauer-Moller update: append entry h to the basis and queue only
+    the S-pairs the chain and product criteria cannot discard.
 
-
-def _chain_deletable(basis, pending, i, j, lcm):
-    for k in range(len(basis)):
-        if k == i or k == j:
-            continue
-        if not mono_divides(basis[k][0], lcm):
-            continue
-        a = (min(i, k), max(i, k))
-        b = (min(j, k), max(j, k))
-        if a not in pending and b not in pending:
-            return True
-    return False
-
-
-def _reduce_basis(basis, order, ring):
-    """Minimalize then interreduce; output sorted ascending by lead."""
-    key = order.key
-    entries = sorted(basis, key=lambda e: key(e[0]))
+    - A new pair (g, h) goes when another new pair's lcm divides its lcm
+      (a later one's, or a kept one's, so one of equal lcms survives);
+      coprime new pairs serve as such witnesses, then go themselves.
+    - A queued pair (i, j) goes when LM(h) divides its lcm and that lcm
+      differs from lcm(i, h) and from lcm(j, h).
+    - Live entries whose lead LM(h) divides retire: they stay reducers
+      but take no new pairs.
+    """
+    lm_h = entry[0]
+    t = len(basis)
+    basis.append(entry)
+    new = [(i, mono_lcm(basis[i][0], lm_h),
+            not any(map(min, basis[i][0], lm_h))) for i in live]
     kept = []
-    for idx, (lm, terms) in enumerate(entries):
-        redundant = False
-        for jdx, (lm2, _) in enumerate(entries):
-            if jdx == idx:
-                continue
-            if mono_divides(lm2, lm) and (lm2 != lm or jdx < idx):
-                redundant = True
-                break
-        if not redundant:
+    for n, (i, lcm, coprime) in enumerate(new):
+        if coprime or not any(all(map(le, other[1], lcm))
+                              for other in new[n + 1:] + kept):
+            kept.append((i, lcm, coprime))
+
+    for (i, j), lcm in list(pairs.items()):
+        if all(map(le, lm_h, lcm)) \
+                and lcm != mono_lcm(basis[i][0], lm_h) \
+                and lcm != mono_lcm(basis[j][0], lm_h):
+            del pairs[i, j]
+
+    for i, lcm, coprime in kept:
+        if not coprime:
+            pairs[i, t] = lcm
+            heapq.heappush(heap, (key(lcm), i, t))
+    live[:] = [i for i in live if not all(map(le, lm_h, basis[i][0]))]
+    live.append(t)
+
+
+def _reduce_basis(entries, order, ring):
+    """Minimalize then interreduce; returns (leads, polynomials), both
+    ascending by lead."""
+    key = order.key
+    kept = []
+    for lm, terms in sorted(entries, key=lambda e: key(e[0])):
+        # sorted ascending: only an earlier lead can divide this one
+        if not any(mono_divides(k[0], lm) for k in kept):
             kept.append((lm, terms))
     field = ring.field
+    leads = [lm for lm, _ in kept]
     final = []
     for idx, (lm, terms) in enumerate(kept):
-        others = [kept[k] for k in range(len(kept)) if k != idx]
+        others = kept[:idx] + kept[idx + 1:]
         reduced = _reduce_full(dict(terms), others, order, field)
         final.append(Polynomial(ring, reduced, _clean=True))
-    final.sort(key=lambda g: key(g.leading_monomial(order)))
-    return final
+    return leads, final
 
 
 class Ideal:
@@ -252,7 +275,7 @@ class Ideal:
         basis = self._bases.get(order)
         if basis is None:
             if not self.generators:
-                basis = GroebnerBasis(self.ring, order, ())
+                basis = GroebnerBasis(self.ring, order, (), ())
             else:
                 basis = buchberger(list(self.generators), order)
             self._bases[order] = basis
@@ -261,9 +284,7 @@ class Ideal:
     def canonical_generators(self):
         """Reduced grevlex basis, sorted by leading exponent tuple,
         lexicographically descending.  The printed form of the ideal."""
-        elems = list(self.groebner(GREVLEX))
-        elems.sort(key=lambda g: g.leading_monomial(GREVLEX), reverse=True)
-        return elems
+        return self.groebner(GREVLEX).by_lead_descending()
 
     @property
     def is_zero(self):
@@ -284,7 +305,7 @@ class Ideal:
         """Minimal generating exponent tuples; only for monomial ideals."""
         if not self.is_monomial:
             raise ValueError("not a monomial ideal")
-        return [g.leading_monomial(GREVLEX) for g in self.groebner(GREVLEX)]
+        return list(self.groebner(GREVLEX).leads)
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -441,9 +462,9 @@ def exact_quotient(f, g, order=GREVLEX):
     inv = field.inv(lc_g)
     work = dict(f.terms)
     quot = {}
-    key = order.key
+    dkey = order.desc_key
     while work:
-        m = max(work, key=key)
+        m = min(work, key=dkey)
         c = work.pop(m)
         shift = mono_div(m, lm_g)
         if shift is None:

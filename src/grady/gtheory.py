@@ -79,17 +79,31 @@ def is_g_prime(P, graded):
     return any(star(p, graded) == P for p in minimal_primes(P))
 
 
-def _stars_to_itself(Q, graded, dec):
+def _star_memo(graded):
+    """star(., graded) that stars each ideal object once: one memo per
+    public call, so the components and radicals of one decomposition are
+    starred once however many checks read them."""
+    seen = {}
+
+    def star_of(I):
+        if id(I) not in seen:
+            seen[id(I)] = (I, star(I, graded))   # I pinned: ids stay unique
+        return seen[id(I)][1]
+    return star_of
+
+
+def _stars_to_itself(Q, star_of, dec):
     """Q is G-primary iff some component of its minimal classical
     decomposition dec stars to Q itself."""
-    return any(star(c.component, graded) == Q for c in dec.components)
+    return any(star_of(c.component) == Q for c in dec.components)
 
 
 def is_g_primary(Q, graded):
     if Q.is_unit:
         return False
     _require_homogeneous(Q, graded, "is_g_primary")
-    return _stars_to_itself(Q, graded, classical_decomposition(Q))
+    return _stars_to_itself(Q, _star_memo(graded),
+                            classical_decomposition(Q))
 
 
 def g_primary_decomposition(N, graded, classical=None):
@@ -100,14 +114,14 @@ def g_primary_decomposition(N, graded, classical=None):
     if N.is_unit:
         raise ValueError("unit ideal has no primary decomposition")
     if classical is None:
-        return _g_decompose(N, graded, classical_decomposition(N))
-    if classical.intersection() != N:
+        classical = classical_decomposition(N)
+    elif classical.intersection() != N:
         raise ValueError("certificate decomposition does not intersect "
                          "to the ideal")
-    return _g_decompose(N, graded, classical)
+    return _g_decompose(N, _star_memo(graded), classical)
 
 
-def _g_decompose(N, graded, dec):
+def _g_decompose(N, star_of, dec):
     """G-primary decomposition from a trusted minimal classical
     decomposition dec of N.
 
@@ -118,9 +132,8 @@ def _g_decompose(N, graded, dec):
     """
     starred = []
     for c in dec.components:
-        S = star(c.component, graded)
-        P = star(c.radical, graded)
-        starred.append(GPrimaryComponent(S, P, c.status))
+        starred.append(GPrimaryComponent(star_of(c.component),
+                                         star_of(c.radical), c.status))
     starred.sort(key=lambda g: (_canon_key(g.g_radical),
                                 _canon_key(g.component)))
 
@@ -146,37 +159,48 @@ def _g_decompose(N, graded, dec):
     return GDecomposition(N, tuple(components))
 
 
-def _starred(primes, graded):
+def _starred(primes, star_of):
     """Stars of the given primes, deduplicated, in canonical order."""
     out = []
     for p in primes:
-        P = star(p, graded)
+        P = star_of(p)
         if not any(P == q for q in out):
             out.append(P)
     out.sort(key=_canon_key)
     return out
 
 
-def _g_ass(N, graded, dec, gdec):
+def _g_ass(N, star_of, dec, gdec):
     """Stars of Ass(N), read from its minimal classical decomposition
     dec, cross-checked against the G-radicals of gdec (built from dec
-    when None); a mismatch would be an internal error."""
-    out = _starred(_primes_of(dec), graded)
+    when None).  A mismatch means an assumed component of dec is not
+    primary after all (an unsupported class), or else an internal
+    error."""
+    out = _starred(_primes_of(dec), star_of)
     if gdec is None:
-        gdec = _g_decompose(N, graded, dec)
+        gdec = _g_decompose(N, star_of, dec)
     radicals = [c.g_radical for c in gdec.components]
     if len(radicals) != len(out) or \
             any(not any(P == Q for Q in radicals) for P in out):
+        assumed = [c.component for c in dec.components
+                   if c.status == ASSUMED]
+        if assumed:
+            names = " and ".join("(" + ", ".join(_canon_key(C)) + ")"
+                                 for C in assumed)
+            raise UnsupportedClassError(
+                f"G-associated primes disagree with the G-primary "
+                f"decomposition; the assumed component {names} may not "
+                f"be primary")
         raise AssertionError("G-associated primes disagree with the "
                              "G-primary decomposition")
     return out
 
 
-def _g_min(N, graded, dec, gdec):
+def _g_min(N, star_of, dec, gdec):
     """Stars of the inclusion-minimal members of Ass(N); every
     G-associated prime must contain one of them."""
-    out = _starred(_inclusion_minimal(_primes_of(dec)), graded)
-    for P in _g_ass(N, graded, dec, gdec):
+    out = _starred(_inclusion_minimal(_primes_of(dec)), star_of)
+    for P in _g_ass(N, star_of, dec, gdec):
         if not any(Q <= P for Q in out):
             raise AssertionError("a G-associated prime contains no "
                                  "G-minimal prime")
@@ -186,16 +210,16 @@ def _g_min(N, graded, dec, gdec):
 def g_associated_primes(N, graded, gdec=None):
     """Stars of the classical associated primes, deduplicated."""
     _require_homogeneous(N, graded, "g_associated_primes")
-    return _g_ass(N, graded, _decompose_for_primes(N, "associated primes"),
-                  gdec)
+    return _g_ass(N, _star_memo(graded),
+                  _decompose_for_primes(N, "associated primes"), gdec)
 
 
 def g_minimal_primes(N, graded, gdec=None):
     """Stars of the inclusion-minimal classical associated primes,
     deduplicated."""
     _require_homogeneous(N, graded, "g_minimal_primes")
-    return _g_min(N, graded, _decompose_for_primes(N, "minimal primes"),
-                  gdec)
+    return _g_min(N, _star_memo(graded),
+                  _decompose_for_primes(N, "minimal primes"), gdec)
 
 
 def poset_component(gdec, omega):
@@ -280,7 +304,8 @@ def verify_theorem_suite(I, graded):
     # Ass(I), Min(I) and the G-primary decomposition from it.
     _require_homogeneous(I, graded, "g_primary_decomposition")
     dec = classical_decomposition(I)
-    gdec = _g_decompose(I, graded, dec)
+    star_of = _star_memo(graded)
+    gdec = _g_decompose(I, star_of, dec)
     ass = _primes_of(dec)
     mins = _inclusion_minimal(ass)
     certified = all(c.status == VERIFIED for c in gdec.components)
@@ -319,8 +344,8 @@ def verify_theorem_suite(I, graded):
     # (c) Ass_G equals Min_G exactly when Ass equals Min.
     try:
         classical_flat = len(ass) == len(mins)
-        gass = _g_ass(I, graded, dec, gdec)
-        gmin = _g_min(I, graded, dec, gdec)
+        gass = _g_ass(I, star_of, dec, gdec)
+        gmin = _g_min(I, star_of, dec, gdec)
         g_flat = len(gass) == len(gmin)
         add("g-ass-equals-g-min-iff-classical",
             "pass" if classical_flat == g_flat else "fail",
@@ -344,7 +369,7 @@ def verify_theorem_suite(I, graded):
 
     # (e) a G-primary ideal is equidimensional.
     try:
-        if _stars_to_itself(I, graded, dec):
+        if _stars_to_itself(I, star_of, dec):
             dims = {_dimension_of_prime(p) for p in mins}
             add("g-primary-is-equidimensional",
                 "pass" if len(dims) == 1 else "fail",

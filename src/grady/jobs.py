@@ -331,8 +331,8 @@ def _order_option(job):
 def _op_groebner(job):
     order = _order_option(job)
     gb = _ideal_arg(job, 0).groebner(order)
-    elems = sorted(gb, key=lambda g: g.leading_monomial(order), reverse=True)
-    return {"generators": [str(g) for g in elems]}, "ideal"
+    return {"generators": [str(g) for g in gb.by_lead_descending()]}, \
+        "ideal"
 
 
 def _op_star(job):

@@ -9,6 +9,7 @@ mutate their arguments.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, ge, le, neg, sub
 
 
 class PolyParseError(ValueError):
@@ -117,42 +118,66 @@ def GF(p):
 # Monomials are bare exponent tuples.
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """Exponent tuple of x^a / x^b, or None when it is not a monomial."""
-    out = tuple(x - y for x, y in zip(a, b))
-    return out if all(e >= 0 for e in out) else None
+    return tuple(map(sub, a, b)) if all(map(ge, a, b)) else None
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
+
+
+def _grevlex_desc(m):
+    return (-sum(m), *m[::-1])
+
+
+def _lex_desc(m):
+    return tuple(map(neg, m))
 
 
 class TermOrder:
     """Monomial order: grevlex, lex, or a block order eliminating a subset.
 
-    key(exps) returns a tuple that sorts ascending in the order, so the
-    leading monomial of a term dict is max(terms, key=order.key).
+    desc_key(exps) returns a flat tuple that sorts descending in the
+    order, so the leading monomial of a term dict is
+    min(terms, key=order.desc_key) and a heap of (desc_key, monomial)
+    pops the largest monomial first.  key(exps) is its negation and sorts
+    ascending.  Both are chosen once per order, not on every call.
     """
 
-    __slots__ = ("kind", "eliminated")
+    __slots__ = ("kind", "eliminated", "desc_key", "key")
 
     def __init__(self, kind, eliminated=frozenset()):
         if kind not in ("grevlex", "lex", "elimination"):
             raise ValueError(f"unknown order kind: {kind}")
         self.kind = kind
         self.eliminated = frozenset(eliminated)
+        if kind == "grevlex":
+            desc = _grevlex_desc
+        elif kind == "lex":
+            desc = _lex_desc
+        else:
+            # Grevlex on the eliminated block, then grevlex on all of m:
+            # once the blocks agree, comparing all of m compares the rest.
+            front = tuple(sorted(self.eliminated, reverse=True))
+
+            def desc(m):
+                f = [m[i] for i in front]
+                return (-sum(f), *f, -sum(m), *m[::-1])
+        self.desc_key = desc
+        self.key = lambda m: tuple(map(neg, desc(m)))
 
     @staticmethod
     def grevlex():
@@ -167,17 +192,6 @@ class TermOrder:
         """Block order making every monomial in the indexed variables larger
         than every monomial free of them; grevlex inside each block."""
         return TermOrder("elimination", frozenset(indices))
-
-    def key(self, exps):
-        if self.kind == "grevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        if self.kind == "lex":
-            return tuple(exps)
-        elim = self.eliminated
-        front = tuple(e for i, e in enumerate(exps) if i in elim)
-        back = tuple(e for i, e in enumerate(exps) if i not in elim)
-        return (sum(front), tuple(-e for e in reversed(front)),
-                sum(back), tuple(-e for e in reversed(back)))
 
     def __eq__(self, other):
         return (isinstance(other, TermOrder) and other.kind == self.kind
@@ -338,7 +352,7 @@ class Polynomial:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = out.get(m, 0) + c1 * c2
                 if p:
                     s %= p
@@ -373,7 +387,7 @@ class Polynomial:
             if p:
                 ac %= p
             if ac:
-                out[tuple(x + y for x, y in zip(m, exps))] = ac
+                out[tuple(map(add, m, exps))] = ac
         return Polynomial(self.ring, out, _clean=True)
 
     def __pow__(self, n):
@@ -399,7 +413,7 @@ class Polynomial:
         """(exponent tuple, coefficient) of the largest term; zero -> None."""
         if not self.terms:
             return None
-        m = max(self.terms, key=order.key)
+        m = min(self.terms, key=order.desc_key)
         return m, self.terms[m]
 
     def leading_monomial(self, order=GREVLEX):
@@ -499,7 +513,7 @@ def render_polynomial(f):
     ring = f.ring
     rational = ring.field.characteristic == 0
     parts = []
-    for m in sorted(f.terms, key=GREVLEX.key, reverse=True):
+    for m in sorted(f.terms, key=GREVLEX.desc_key):
         c = f.terms[m]
         negative = rational and c < 0
         mag = -c if negative else c

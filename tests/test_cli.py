@@ -133,6 +133,36 @@ def test_factoring_over_budget_exits_three(tmp_path, capsys, field,
     assert detail in theorems["detail"]
 
 
+@pytest.mark.parametrize("op", ["g_ass", "g_min", "theorems"])
+def test_assumed_component_mismatch_is_a_typed_refusal(tmp_path, capsys, op):
+    doc = {"ring": {"field": "Q", "vars": ["x"]},
+           "grading": {"free_rank": 0, "torsion": [3],
+                       "degrees": [[[], [1]]]},
+           "ideals": {"I": ["x^6 - 1"]},
+           "command": {"op": op, "args": ["I"], "options": {}}}
+    named = "assumed component (x^4 + x^2 + 1)"
+    path = _write_job(tmp_path, doc)
+    code = cli.main(["run", path])
+    out, _ = capsys.readouterr()
+    result = json.loads(out)
+    if op == "theorems":
+        checks = {c["name"]: c for c in result["payload"]["checks"]}
+        check = checks["g-ass-equals-g-min-iff-classical"]
+        assert code == 0 and result["payload"]["status"] == "unsupported"
+        assert check["status"] == "unsupported" and named in check["detail"]
+    else:
+        assert code == 3 and result["status"] == "unsupported"
+        assert result["payload"]["reason"] == "unsupported-class"
+        assert named in result["payload"]["detail"]
+
+    code = cli.main(["verify", path])
+    out, _ = capsys.readouterr()
+    theorems = json.loads(out)["payload"]["ideals"]["I"]["theorems"]
+    checks = {c["name"]: c["status"] for c in theorems["checks"]}
+    assert code == 0 and theorems["status"] == "unsupported"
+    assert checks["g-ass-equals-g-min-iff-classical"] == "unsupported"
+
+
 def test_verify_exit_zero(tmp_path, capsys):
     doc = json.loads(json.dumps(STAR_JOB))
     doc["ideals"] = {"I": ["x^4", "x^3*y"]}

@@ -1,15 +1,19 @@
 """Groebner bases and the ideal operations built on them."""
 
+import heapq
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grady.groebner import (Ideal, colon, eliminate, exact_quotient,
+import grady.groebner as groebner
+from grady.groebner import (Ideal, buchberger, colon, eliminate, exact_quotient,
                             ideal_contains, ideal_equal, ideal_membership,
                             ideal_power, ideal_product, ideal_sum, intersect,
                             intersect_all, normal_form, radical_membership,
                             saturate, saturate_ideal)
-from grady.poly import (GF, GREVLEX, LEX, QQ, PolynomialRing, mono_lcm,
+from grady.poly import (GF, GREVLEX, LEX, QQ, Polynomial, PolynomialRing,
+                        TermOrder, mono_div, mono_divides, mono_lcm, mono_mul,
                         parse_polynomial)
 
 
@@ -190,3 +194,129 @@ def test_intersection_is_a_lower_bound(I, J):
     M = intersect(I, J)
     assert M <= I and M <= J
     assert ideal_product(I, J) <= M
+
+
+# ---------------------------------------------------------------------------
+# A naive reference: every S-pair, no criteria, max-based full reduction.
+
+def _monic(f, order):
+    """(lead, f scaled to a monic lead) for a nonzero f."""
+    lead = max(f.terms, key=order.key)
+    return lead, f.scale(f.ring.field.inv(f.terms[lead]))
+
+
+def _naive_remainder(f, basis, order):
+    """Full reduction of f by monic (lead, g) pairs: the largest term is
+    found by max on every step and the first divisor in list order
+    reduces it."""
+    p = f.ring.field.characteristic
+    work, rem = dict(f.terms), {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        hit = next(((lm, g) for lm, g in basis if mono_divides(lm, m)), None)
+        if hit is None:
+            rem[m] = c
+            continue
+        lm, g = hit
+        shift = mono_div(m, lm)
+        for gm, gc in g.terms.items():
+            if gm != lm:
+                mm = mono_mul(gm, shift)
+                s = work.get(mm, 0) - c * gc
+                work[mm] = s % p if p else s
+                if not work[mm]:
+                    del work[mm]
+    return Polynomial(f.ring, rem)
+
+
+def _naive_add(basis, pairs, entry, order):
+    for i, (lm, _) in enumerate(basis):
+        lcm = mono_lcm(lm, entry[0])
+        heapq.heappush(pairs, (order.key(lcm), i, len(basis), lcm))
+    basis.append(entry)
+
+
+def _naive_reduced_basis(gens, order):
+    """Reduced monic basis, ascending by lead: every S-pair, no criteria,
+    smallest lcm first."""
+    basis, pairs = [], []
+    for g in gens:
+        if not g.is_zero:
+            _naive_add(basis, pairs, _monic(g, order), order)
+    while pairs:
+        _, i, j, lcm = heapq.heappop(pairs)
+        (lf, f), (lg, g) = basis[i], basis[j]
+        s = f.mul_monomial(mono_div(lcm, lf)) \
+            - g.mul_monomial(mono_div(lcm, lg))
+        r = _naive_remainder(s, basis, order)
+        if not r.is_zero:
+            _naive_add(basis, pairs, _monic(r, order), order)
+    minimal = []
+    for lead, g in sorted(basis, key=lambda e: order.key(e[0])):
+        if not any(mono_divides(lm, lead) for lm, _ in minimal):
+            minimal.append((lead, g))
+    return [_naive_remainder(g, minimal[:k] + minimal[k + 1:], order)
+            for k, (_, g) in enumerate(minimal)]
+
+
+@st.composite
+def _reference_cases(draw):
+    n = draw(st.integers(2, 4))
+    field = draw(st.sampled_from([GF(2), GF(5), GF(32003), QQ]))
+    ring = PolynomialRing(field, tuple(f"x{i}" for i in range(n)))
+    order = draw(st.sampled_from([
+        GREVLEX, LEX, TermOrder.elimination({0}),
+        TermOrder.elimination({n - 1}), TermOrder.elimination({n // 2})]))
+    # squarefree monomials in 4 variables keep the naive reference quick
+    mono = st.tuples(*[st.integers(0, 2 if n < 4 else 1)] * n)
+    poly = st.lists(st.tuples(mono, st.integers(-3, 3)), min_size=1,
+                    max_size=3).map(lambda ts: sum(
+                        (ring.monomial(m, field.from_int(c)) for m, c in ts),
+                        ring.zero()))
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    return gens, order, draw(poly)
+
+
+_R3 = PolynomialRing(GF(5), ("x0", "x1", "x2"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reference_cases())
+# a unit ideal that a queued pair deleted on an equal lcm(j, h) gets wrong
+@example(([parse_polynomial(g, _R3) for g in ("x0", "x0*x2^2 + 1",
+                                              "x2 + x0")],
+          GREVLEX, _R3.one()))
+def test_buchberger_matches_naive_reference(case):
+    gens, order, f = case
+    if all(g.is_zero for g in gens):
+        return
+    gb = buchberger(gens, order)
+    expected = [_monic(g, order) for g in _naive_reduced_basis(gens, order)]
+    assert list(zip(gb.leads, gb.elements)) == expected
+    assert gb.normal_form(f) == _naive_remainder(f, expected, order)
+
+
+def test_katsura3_lex_prunes_pairs(monkeypatch):
+    ring = PolynomialRing(GF(32003), ("u0", "u1", "u2", "u3"))
+    gens = [parse_polynomial(g, ring) for g in (
+        "u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+        "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+        "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+        "2*u0*u2 + u1^2 + 2*u1*u3 - u2")]
+    calls = []
+    real = groebner._spoly_terms
+    monkeypatch.setattr(groebner, "_spoly_terms",
+                        lambda *args: calls.append(1) or real(*args))
+    gb = buchberger(gens, LEX)
+    # 52 S-polynomials with a whole-basis chain scan per pair
+    assert len(calls) == 43
+    assert [str(g) for g in gb] == [
+        "u3^8 + 5818*u3^7 + 9698*u3^6 + 26753*u3^5 + 26300*u3^4"
+        " + 19728*u3^3 + 8220*u3^2 + 31455*u3",
+        "15273*u3^7 + 1431*u3^6 + 13814*u3^5 + 15130*u3^4 + 29866*u3^3"
+        " + 15441*u3^2 + u2 + 23570*u3",
+        "7531*u3^7 + 16886*u3^6 + 3641*u3^5 + 26518*u3^4 + 16465*u3^3"
+        " + 19875*u3^2 + u1 + 2116*u3",
+        "18398*u3^7 + 27372*u3^6 + 29096*u3^5 + 12713*u3^4 + 3347*u3^3"
+        " + 25377*u3^2 + u0 + 12636*u3 + 32002"]

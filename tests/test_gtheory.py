@@ -6,7 +6,8 @@ import pytest
 
 from grady import decomposition, gtheory
 from grady.decomposition import (Decomposition, PrimaryComponent,
-                                 radical_ideal)
+                                 UnsupportedClassError,
+                                 classical_decomposition, radical_ideal)
 from grady.grading import GradedRing, GradingGroup, star
 from grady.groebner import (Ideal, colon, ideal_power, ideal_product,
                             intersect)
@@ -243,6 +244,39 @@ def test_theorem_suite_decomposes_the_target_once(monkeypatch):
         "vacuous: ideal is not G-primary"]
     assert calls == {"monomial_primary_decomposition": 1,
                      "monomial_radical": 0}
+
+
+def test_theorem_suite_stars_each_ideal_once(monkeypatch):
+    N, fine = _xyz_target()
+    calls = {}
+    _count_calls(monkeypatch, gtheory, "star", calls)
+    assert verify_theorem_suite(N, fine)["status"] == "pass"
+    # 4 components and 4 radicals, once each, plus check (d)'s star
+    assert calls["star"] <= 9
+
+
+def test_assumed_component_mismatch_is_unsupported():
+    # Over Q the residue x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1) stays
+    # one assumed component, and the G-prime cross-check catches it.
+    ring, graded = line_with_torsion(QQ, 3)
+    N = Ideal(ring, ["x^6 - 1"])
+    for query in (g_associated_primes, g_minimal_primes):
+        with pytest.raises(UnsupportedClassError,
+                           match=r"assumed component \(x\^4 \+ x\^2 \+ 1\)"):
+            query(N, graded)
+    checks = {c["name"]: c["status"]
+              for c in verify_theorem_suite(N, graded)["checks"]}
+    assert checks["g-ass-equals-g-min-iff-classical"] == "unsupported"
+
+
+def test_verified_mismatch_stays_an_internal_error():
+    N, fine = _xyz_target()
+    dec = classical_decomposition(N)
+    star_of = gtheory._star_memo(fine)
+    gdec = gtheory._g_decompose(N, star_of, dec)
+    short = GDecomposition(N, gdec.components[1:])
+    with pytest.raises(AssertionError, match="disagree"):
+        gtheory._g_ass(N, star_of, dec, short)
 
 
 @pytest.mark.parametrize("query", [g_associated_primes, g_minimal_primes])

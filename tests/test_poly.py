@@ -102,6 +102,43 @@ def test_elimination_order():
     assert f.leading_monomial(order) == (1, 0)
 
 
+def _reference_key(order, exps):
+    """The block-tuple form of each order, ascending."""
+    if order.kind == "lex":
+        return tuple(exps)
+    elim = order.eliminated if order.kind == "elimination" else set()
+    front = tuple(e for i, e in enumerate(exps) if i in elim)
+    back = tuple(e for i, e in enumerate(exps) if i not in elim)
+    return (sum(front), tuple(-e for e in reversed(front)),
+            sum(back), tuple(-e for e in reversed(back)))
+
+
+@st.composite
+def _orders_and_monomials(draw):
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["grevlex", "lex", "elimination"]))
+    if kind == "elimination":
+        order = TermOrder.elimination(
+            draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    else:
+        order = TermOrder(kind)
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                          min_size=1, max_size=30, unique=True))
+    return order, monos
+
+
+@settings(max_examples=200, deadline=None)
+@given(_orders_and_monomials())
+def test_descending_key_reverses_key(case):
+    order, monos = case
+    ascending = sorted(monos, key=order.key)
+    assert sorted(monos, key=order.desc_key) == ascending[::-1]
+    assert ascending == sorted(monos,
+                               key=lambda m: _reference_key(order, m))
+    lead = min(monos, key=order.desc_key)
+    assert lead == max(monos, key=order.key) == ascending[-1]
+
+
 def test_substitute_and_map(Rxy):
     f = parse_polynomial("x^2*y + y - 1", Rxy)
     g = f.substitute({"x": 2})
