@@ -9,6 +9,7 @@ a torsion modulus.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, Ideal, eliminate
@@ -86,9 +87,12 @@ class GradingGroup:
 
 
 class GradedRing:
-    """A polynomial ring together with a degree for each variable."""
+    """A polynomial ring together with a degree for each variable, held as
+    an integer matrix: one weight vector per coordinate of the group (free
+    ones first, torsion ones reduced mod their moduli) with every
+    variable's degree there."""
 
-    __slots__ = ("ring", "group", "degrees")
+    __slots__ = ("ring", "group", "weights")
 
     def __init__(self, ring, group, degrees):
         degrees = tuple(
@@ -97,15 +101,25 @@ class GradedRing:
             raise ValueError("need exactly one degree per variable")
         self.ring = ring
         self.group = group
-        self.degrees = tuple(group.degree(d.free, d.torsion)
-                             for d in degrees)
+        rows = [group.degree(d.free, d.torsion) for d in degrees]
+        self.weights = tuple(zip(*(d.free + d.torsion for d in rows)))
+
+    @property
+    def degrees(self):
+        """Each variable's degree."""
+        r = self.group.free_rank
+        return tuple(Hdeg(tuple(w[i] for w in self.weights[:r]),
+                          tuple(w[i] for w in self.weights[r:]))
+                     for i in range(self.ring.nvars))
 
     def degree_of_monomial(self, exps):
-        d = self.group.zero
-        for e, dv in zip(exps, self.degrees):
-            if e:
-                d = self.group.add(d, self.group.scale(dv, e))
-        return d
+        """Dot products of exps with the weight vectors, the torsion
+        coordinates reduced mod their moduli."""
+        dots = [sum(map(mul, exps, w)) for w in self.weights]
+        r = self.group.free_rank
+        return Hdeg(tuple(dots[:r]),
+                    tuple(d % m for d, m in zip(dots[r:],
+                                                self.group.torsion)))
 
     def __repr__(self):
         return f"GradedRing({self.ring!r}, {self.group!r})"
@@ -202,10 +216,9 @@ def star(I, graded):
 
     r = graded.group.free_rank
     moduli = graded.group.torsion
-    free_used = [j for j in range(r)
-                 if any(d.free[j] for d in graded.degrees)]
+    free_used = [j for j in range(r) if any(graded.weights[j])]
     tors_used = [k for k in range(len(moduli))
-                 if any(d.torsion[k] for d in graded.degrees)]
+                 if any(graded.weights[r + k])]
     if not free_used and not tors_used:
         return _primed(ring, gens)
 

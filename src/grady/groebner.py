@@ -19,8 +19,9 @@ from __future__ import annotations
 import heapq
 from operator import add, itemgetter, le, sub
 
-from .poly import (GREVLEX, Polynomial, TermOrder, fresh_names, mono_div,
-                   mono_divides, mono_gcd, mono_lcm, mono_mul)
+from .poly import (GREVLEX, Polynomial, ResourceLimitError, TermOrder,
+                   fresh_names, mono_div, mono_divides, mono_gcd, mono_lcm,
+                   mono_mul)
 
 
 class GroebnerBasis:
@@ -518,40 +519,56 @@ def _colon_poly(I, g):
     return Ideal(ring, [exact_quotient(h, g) for h in meet.generators])
 
 
-def saturate(I, f, cap=64):
-    """(I : f^infinity, n) with n minimal such that I : f^n stabilizes.
+# saturate refuses exponents above this many multiplications by f.
+MAX_SATURATION_EXPONENT = 1000
 
-    The stable ideal comes from one elimination with the inverted-variable
-    relation 1 - z*f; the exponent from iterating colon against it.
-    """
+
+def _saturation(I, f):
+    """I : f^infinity, from one elimination with the inverted-variable
+    relation 1 - z*f."""
     ring = I.ring
     if f.is_zero:
         raise ValueError("saturation by zero")
     if f.is_constant:
-        return Ideal(ring, I.generators), 0
+        return Ideal(ring, I.generators)
     big, var_map, (zi,) = _extension(ring, "z")
     rel = big.one() - big.gen(zi) * f.map_to(big, var_map)
     up = Ideal(big, _lift(I.groebner(GREVLEX), big, var_map) + [rel])
-    stable = Ideal(ring,
-                   _restrict(eliminate(up, [zi]).generators, big, ring,
-                             (zi,)))
-    current = Ideal(ring, I.generators)
+    return Ideal(ring,
+                 _restrict(eliminate(up, [zi]).generators, big, ring,
+                           (zi,)))
+
+
+def saturate(I, f):
+    """(I : f^infinity, n) with n minimal such that I : f^n stabilizes.
+
+    I : f^n is the stable ideal exactly when f^n * g lies in I for every
+    generator g of the stable ideal, so the remainders of the g modulo I
+    are multiplied by f and reduced again until all vanish.  Exponents
+    above MAX_SATURATION_EXPONENT raise ResourceLimitError.
+    """
+    stable = _saturation(I, f)
+    gb = I.groebner(GREVLEX)
+    rest = [r for r in map(gb.normal_form, stable.generators)
+            if not r.is_zero]
     n = 0
-    while current != stable:
-        if n >= cap:
-            raise RuntimeError(f"saturation exponent exceeds {cap}")
-        current = _colon_poly(current, f)
+    while rest:
+        if n == MAX_SATURATION_EXPONENT:
+            raise ResourceLimitError(
+                f"saturation exponent exceeds the budget of "
+                f"{MAX_SATURATION_EXPONENT}")
+        rest = [r for r in (gb.normal_form(f * r) for r in rest)
+                if not r.is_zero]
         n += 1
     return stable, n
 
 
-def saturate_ideal(I, J, cap=64):
+def saturate_ideal(I, J):
     """I : J^infinity as the meet of the single-element saturations."""
     gens = [g for g in J.generators if not g.is_zero]
     if not gens:
         return Ideal(I.ring, [I.ring.one()])
-    parts = [saturate(I, g, cap)[0] for g in gens]
-    return intersect_all(parts, I.ring)
+    return intersect_all([_saturation(I, g) for g in gens], I.ring)
 
 
 def radical_membership(f, I):

@@ -1,18 +1,39 @@
 """Brute-force verification of star outputs over prime fields.
 
-Works entirely inside the space of polynomials of total degree <= D:
-membership in an ideal becomes the kernel of the normal-form linear
-map, and membership in the star becomes the same kernel restricted to
-each homogeneous block.  Dense exact row reduction mod p; no
-elimination machinery is involved, which is the point of the oracle.
+Works entirely inside the space of polynomials of total degree <= D with
+dense exact linear algebra mod p; no elimination machinery is involved,
+which is the point of the oracle.
+
+- Normal forms.  The normal-form matrix of an ideal has one row per
+  monomial of the space and one column per standard monomial of its
+  grevlex basis.  It is filled by recurrence, as in FGLM (Faugere,
+  Gianni, Lazard and Mora 1993): in ascending grevlex order, a
+  non-standard m = t * lm(g) gets minus the combination of the rows of
+  t * v over the non-lead terms c_v * v of g, all smaller than m and of
+  no larger degree, so already built.  Monomial ideals need only a
+  divisibility mask.
+- The star space.  Membership in the ideal is the kernel of that map;
+  membership in the star is the same kernel restricted to each
+  homogeneous block.  Each block kernel is born in reduced row echelon
+  form (the block is reduced with its columns reversed), and blocks have
+  disjoint supports, so their rows sorted by pivot are already the RREF
+  of the whole space.
+- The escape check.  A truncated star vector b lies in the computed star
+  S exactly when b N_S = 0 mod p, so all of them are checked with one
+  product.
+- Exactness.  Products are exact in int64: GF caps p below 2**31, and
+  a product with inner dimension k is taken whole when
+  (p - 1)^2 k < 2^63, otherwise with one factor split into 16-bit limbs,
+  which covers every such p up to MAX_SPACE_DIMENSION.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 
@@ -36,12 +57,27 @@ def monomials_up_to(nvars, bound):
     return out
 
 
-# One dim x dim int64 matrix (the normal-form map) stays within 128 MiB.
+# One dim x dim int64 matrix (the normal-form map) stays within 128 MiB,
+# and products of inner dimension <= 4096 stay exact with 16-bit limbs.
 MAX_SPACE_DIMENSION = 4096
 
 
+@functools.lru_cache(maxsize=8)
+def _monomial_table(nvars, bound):
+    """(monomials, index, exponent array, ascending grevlex order) of the
+    space of degree <= bound; shared by every space of these sizes."""
+    monomials = tuple(monomials_up_to(nvars, bound))
+    exponents = np.array(monomials, dtype=np.int64).reshape(-1, nvars)
+    exponents.flags.writeable = False
+    ascending = sorted(range(len(monomials)),
+                       key=lambda i: GREVLEX.key(monomials[i]))
+    return (monomials, {m: i for i, m in enumerate(monomials)}, exponents,
+            np.array(ascending, dtype=np.int64))
+
+
 class TruncatedSpace:
-    __slots__ = ("ring", "degree_bound", "monomials", "index")
+    __slots__ = ("ring", "degree_bound", "monomials", "index", "exponents",
+                 "ascending")
 
     def __init__(self, ring, degree_bound):
         if ring.field.characteristic == 0:
@@ -54,9 +90,8 @@ class TruncatedSpace:
                 f"of {MAX_SPACE_DIMENSION}")
         self.ring = ring
         self.degree_bound = degree_bound
-        self.monomials = tuple(monomials_up_to(ring.nvars, degree_bound))
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        assert len(self.monomials) == dim
+        (self.monomials, self.index, self.exponents,
+         self.ascending) = _monomial_table(ring.nvars, degree_bound)
 
     @property
     def dimension(self):
@@ -75,6 +110,21 @@ class TruncatedSpace:
         return Polynomial(self.ring, {self.monomials[i]: int(v[i]) % p
                                       for i in np.flatnonzero(v)})
 
+    def divisible(self, leads):
+        """Boolean (monomial, lead) matrix: which leads divide which
+        monomials of the space."""
+        leads = np.array(leads, dtype=np.int64).reshape(-1, self.ring.nvars)
+        return (self.exponents[:, None, :] >= leads[None, :, :]).all(axis=2)
+
+
+def _matmul_mod(A, B, p):
+    """A @ B mod p for entries in [0, p), p < 2**31, exact in int64 for an
+    inner dimension k < 2**16: one product when (p - 1)^2 k < 2^63, else
+    B split into 16-bit limbs, each partial product below 2^63."""
+    if (p - 1) ** 2 * A.shape[-1] < 2 ** 63:
+        return (A @ B) % p
+    return ((((A @ (B >> 16)) % p) << 16) + A @ (B & 0xFFFF)) % p
+
 
 def _rref(A, p):
     """Reduced row echelon form of A mod p: (nonzero rows, pivot columns).
@@ -90,14 +140,14 @@ def _rref(A, p):
     for c in range(ncols):
         if r == nrows:
             break
-        below = np.flatnonzero(A[r:, c])
+        below = A[r:, c].nonzero()[0]
         if not below.size:
             continue
         pivot = r + below[0]
         if pivot != r:
             A[[r, pivot]] = A[[pivot, r]]
         A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
-        rows = np.flatnonzero(A[:, c])
+        rows = A[:, c].nonzero()[0]
         rows = rows[rows != r]
         if rows.size:
             A[rows, c:] = (A[rows, c:]
@@ -107,17 +157,26 @@ def _rref(A, p):
     return A[:r], pivots
 
 
-def _nullspace(A, p):
-    """Basis (as rows) of {x : A x = 0} over F_p, one row per free
-    column: 1 there, minus that column of the RREF at the pivots."""
-    R, pivots = _rref(A, p)
-    free = np.ones(A.shape[1], dtype=bool)
+def _kernel(A, p):
+    """Basis of {x : A x = 0} over F_p in reduced row echelon form:
+    (rows, pivot columns).
+
+    A is row-reduced with its columns reversed, so every pivot lies to
+    the right of the free columns it couples with.  The kernel vector of
+    free column f (1 there, minus the reversed RREF's column at the
+    pivots) then leads with f and is zero at the other free columns:
+    the rows, ordered by f, are already reduced.
+    """
+    ncols = A.shape[1]
+    R, reversed_pivots = _rref(A[:, ::-1], p)
+    pivots = ncols - 1 - np.array(reversed_pivots, dtype=np.int64)
+    free = np.ones(ncols, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    K = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    K = np.zeros((len(free), ncols), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
-    K[:, pivots] = (-R[:, free].T) % p
-    return K
+    K[:, pivots] = (-R[:, ncols - 1 - free].T) % p
+    return K, free
 
 
 class Subspace:
@@ -131,15 +190,21 @@ class Subspace:
         self.space = space
 
     @classmethod
+    def from_rref(cls, space, matrix, pivots):
+        """Span of rows already in RREF with the given pivot columns."""
+        S = cls.__new__(cls)
+        S.space = space
+        S.matrix = matrix
+        S.pivots = [int(c) for c in pivots]
+        return S
+
+    @classmethod
     def unit_rows(cls, space, indices):
         """Span of the unit vectors at the given increasing indices: those
         rows are already in RREF, with the indices as pivots."""
-        S = cls.__new__(cls)
-        S.space = space
-        S.matrix = np.zeros((len(indices), space.dimension), dtype=np.int64)
-        S.matrix[np.arange(len(indices)), indices] = 1
-        S.pivots = [int(i) for i in indices]
-        return S
+        matrix = np.zeros((len(indices), space.dimension), dtype=np.int64)
+        matrix[np.arange(len(indices)), indices] = 1
+        return cls.from_rref(space, matrix, indices)
 
     @property
     def dimension(self):
@@ -160,50 +225,109 @@ class Subspace:
         return [self.space.polynomial(row) for row in self.matrix]
 
 
-def _normal_form_matrix(I, space):
-    """Row i is the normal form of the i-th monomial; grevlex reduction
-    never raises total degree, so rows stay inside the space."""
-    ring = space.ring
-    gb = I.groebner(GREVLEX)
-    N = np.zeros((space.dimension, space.dimension), dtype=np.int64)
-    for i, m in enumerate(space.monomials):
-        nf = gb.normal_form(ring.monomial(m))
-        for mm, c in nf.terms.items():
-            N[i, space.index[mm]] = c
-    return N
+def _normal_form_matrix(gb, space):
+    """(N, reducible) for the grevlex basis gb of a non-monomial ideal:
+    row i of N is the normal form of the i-th monomial of the space, over
+    the columns of the standard monomials (those not `reducible`, a
+    mask over the space).  Filled by the recurrence in the module
+    docstring; grevlex never raises total degree, so every row stays in
+    the space.
+    """
+    p = space.ring.field.characteristic
+    divisible = space.divisible(gb.leads)
+    reducible = divisible.any(axis=1)
+    standard = np.flatnonzero(~reducible)
+    N = np.zeros((space.dimension, len(standard)), dtype=np.int64)
+    N[standard, np.arange(len(standard))] = 1
+    # The non-lead terms of each element, with negated coefficients.
+    tails = [([v for v in g.terms if v != lm],
+              np.array([-c % p for v, c in g.terms.items() if v != lm],
+                       dtype=np.int64))
+             for lm, g in zip(gb.leads, gb.elements)]
+    first = divisible.argmax(axis=1).tolist()
+    index, monomials = space.index, space.monomials
+    for i in space.ascending[reducible[space.ascending]].tolist():
+        g = first[i]
+        t = tuple(map(sub, monomials[i], gb.leads[g]))
+        vs, cs = tails[g]
+        N[i] = _matmul_mod(cs, N[[index[tuple(map(add, v, t))]
+                                  for v in vs]], p)
+    return N, reducible
+
+
+def _monomial_basis(I, space):
+    inside = space.divisible(I.monomial_generators()).any(axis=1)
+    return Subspace.unit_rows(space, np.flatnonzero(inside))
+
+
+def _block_kernels(space, N, blocks):
+    """Subspace of the vectors whose restriction to each block (disjoint
+    increasing index arrays) lies in the kernel of the normal-form
+    matrix N: the block kernels, merged by pivot."""
+    p = space.ring.field.characteristic
+    kernels = []
+    for idx in blocks:
+        rows = N[idx]
+        K, free = _kernel(rows[:, rows.any(axis=0)].T, p)
+        kernels.append((idx, K, idx[free]))
+    pivots = np.concatenate([piv for _, _, piv in kernels])
+    matrix = np.zeros((len(pivots), space.dimension), dtype=np.int64)
+    r = 0
+    for idx, K, _ in kernels:
+        matrix[r:r + len(K), idx] = K
+        r += len(K)
+    order = np.argsort(pivots)
+    return Subspace.from_rref(space, matrix[order], pivots[order])
 
 
 def truncated_ideal_basis(I, degree_bound):
     """Exact basis of {f in I : deg f <= D} as a Subspace."""
     space = TruncatedSpace(I.ring, degree_bound)
     if I.is_monomial:
-        exps = np.array(space.monomials, dtype=np.int64)
-        inside = np.zeros(space.dimension, dtype=bool)
-        for g in I.monomial_generators():
-            inside |= (exps >= g).all(axis=1)
-        return Subspace.unit_rows(space, np.flatnonzero(inside))
-    N = _normal_form_matrix(I, space)
-    return Subspace(space, _nullspace(N.T, I.ring.field.characteristic))
+        return _monomial_basis(I, space)
+    N, _ = _normal_form_matrix(I.groebner(GREVLEX), space)
+    return _block_kernels(space, N, [np.arange(space.dimension)])
+
+
+def _homogeneous_blocks(graded, space):
+    """Index arrays of the monomials of each degree, from one product
+    with the grading's weight vectors."""
+    weights = np.array(graded.weights, dtype=np.int64)
+    dots = space.exponents @ weights.reshape(-1, space.ring.nvars).T
+    r = graded.group.free_rank
+    dots[:, r:] %= np.array(graded.group.torsion, dtype=np.int64)
+    block = np.unique(dots, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(block, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
 
 
 def truncated_star_basis(I, graded, degree_bound):
     """{f : deg f <= D, every homogeneous component of f lies in I}."""
-    if I.is_monomial:
-        return truncated_ideal_basis(I, degree_bound)
     space = TruncatedSpace(I.ring, degree_bound)
-    p = I.ring.field.characteristic
-    N = _normal_form_matrix(I, space)
-    blocks = {}
-    for i, m in enumerate(space.monomials):
-        blocks.setdefault(graded.degree_of_monomial(m), []).append(i)
-    rows = []
-    for key in sorted(blocks, key=lambda h: (h.free, h.torsion)):
-        idx = blocks[key]
-        W = _nullspace(N[idx, :].T, p)
-        V = np.zeros((len(W), space.dimension), dtype=np.int64)
-        V[:, idx] = W
-        rows.append(V)
-    return Subspace(space, np.vstack(rows))
+    if I.is_monomial:
+        return _monomial_basis(I, space)
+    N, _ = _normal_form_matrix(I.groebner(GREVLEX), space)
+    return _block_kernels(space, N, _homogeneous_blocks(graded, space))
+
+
+def _first_escape(B, S):
+    """Index of the first row of B whose polynomial is not in S, or None.
+
+    With N the normal-form matrix of S, the normal forms of the rows are
+    B[:, standard] + B[:, reducible] N[reducible] mod p; a monomial S has
+    N = 0 on its reducible monomials.
+    """
+    space = B.space
+    p = space.ring.field.characteristic
+    gb = S.groebner(GREVLEX)
+    if S.is_monomial:
+        E = B.matrix[:, ~space.divisible(gb.leads).any(axis=1)]
+    else:
+        N, reducible = _normal_form_matrix(gb, space)
+        E = (B.matrix[:, ~reducible]
+             + _matmul_mod(B.matrix[:, reducible], N[reducible], p)) % p
+    escaping = np.flatnonzero(E.any(axis=1))
+    return int(escaping[0]) if escaping.size else None
 
 
 @dataclass(frozen=True)
@@ -239,12 +363,12 @@ def oracle_compare(I, graded, degree_bound, star_ideal=None):
             f"{maxdeg} + 2")
 
     B = truncated_star_basis(I, graded, degree_bound)
-    for b in B.polynomials():
-        if not S.contains(b):
-            return OracleVerdict(
-                "fail", "truncated star vector escapes the computed star",
-                str(b))
     space = B.space
+    escape = _first_escape(B, S)
+    if escape is not None:
+        return OracleVerdict(
+            "fail", "truncated star vector escapes the computed star",
+            str(space.polynomial(B.matrix[escape])))
     for g in gens:
         if not B.contains_vector(space.vector(g)):
             return OracleVerdict(

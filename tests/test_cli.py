@@ -109,6 +109,26 @@ def test_oversized_oracle_space_exits_three(tmp_path, capsys, monkeypatch):
     assert "budget" in oracle_entry["reason"]
 
 
+def test_saturation_exponent_is_found_or_refused(tmp_path, capsys):
+    from grady.groebner import MAX_SATURATION_EXPONENT
+    doc = {"ring": {"field": "Q", "vars": ["x", "y"]},
+           "ideals": {"I": ["x^70*y"]},
+           "command": {"op": "saturate", "args": ["I", "x"], "options": {}}}
+    code = cli.main(["run", _write_job(tmp_path, doc)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["payload"] == {"generators": ["y"],
+                                          "exponent": 70}
+
+    doc["ideals"]["I"] = [f"x^{MAX_SATURATION_EXPONENT + 1}*y"]
+    code = cli.main(["run", _write_job(tmp_path, doc)])
+    out, _ = capsys.readouterr()
+    result = json.loads(out)
+    assert code == 3 and result["status"] == "unsupported"
+    assert result["payload"]["reason"] == "budget"
+    assert "saturation exponent" in result["payload"]["detail"]
+
+
 @pytest.mark.parametrize("field, generator, detail", [
     ("F2147483647", "x^2 + 1", "factoring over F2147483647"),
     ("Q", "x^2 - 1000000000000000000000000000000", "rational root search"),

@@ -4,18 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import grady.oracle as oracle
 from grady.grading import GradedRing, GradingGroup, star
 from grady.groebner import Ideal
-from grady.oracle import (BadPrimeError, ResourceLimitError, Subspace,
-                          TruncatedSpace, _rref, monomials_up_to,
-                          oracle_compare, oracle_compare_rationals,
-                          reduce_ideal_mod, truncated_ideal_basis,
-                          truncated_star_basis)
-from grady.poly import GF, QQ, PolynomialRing, parse_polynomial
+from grady.oracle import (BadPrimeError, OracleVerdict, ResourceLimitError,
+                          Subspace, TruncatedSpace, _first_escape, _kernel,
+                          _matmul_mod, _normal_form_matrix, _rref,
+                          monomials_up_to, oracle_compare,
+                          oracle_compare_rationals, reduce_ideal_mod,
+                          truncated_ideal_basis, truncated_star_basis)
+from grady.poly import GF, QQ, Polynomial, PolynomialRing, parse_polynomial
 
 from conftest import line_with_torsion
 
@@ -170,9 +171,12 @@ def _rref_reference(rows, p, ncols):
     return rows[:len(pivots)], pivots
 
 
+FIELDS = (2, 5, 32003, 2147483647)
+
+
 @st.composite
-def _matrices_mod_p(draw):
-    p = draw(st.sampled_from((2, 5, 2147483647)))
+def _matrices_mod_p(draw, fields=(2, 5, 2147483647)):
+    p = draw(st.sampled_from(fields))
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(1, 6))
     entry = st.one_of(st.just(0), st.integers(-(p - 1), p - 1))
@@ -244,9 +248,170 @@ def test_monomial_star_basis_skips_rref(monkeypatch):
     monkeypatch.setattr(oracle, "_rref", rref)
     monkeypatch.setattr(oracle, "monomials_up_to", monomials)
     B = truncated_star_basis(I, graded, 8)
-    assert calls == {"rref": 0, "monomials": 1}
+    # The space of (3 variables, degree 8) was built by the first call.
+    assert calls == {"rref": 0, "monomials": 0}
     assert np.array_equal(B.matrix, expected.matrix)
     members = [i for i, m in enumerate(B.space.monomials)
                if any(all(a >= b for a, b in zip(m, g))
                       for g in I.monomial_generators())]
     assert B.pivots == members
+
+
+# ---------------------------------------------------------------------------
+# The linear-algebra kernels against the per-monomial and per-row
+# references they replaced.
+
+def _nullspace_reference(A, p):
+    """Basis (as rows) of {x : A x = 0} over F_p, one row per free
+    column: 1 there, minus that column of the RREF at the pivots."""
+    R, pivots = _rref(A, p)
+    free = np.ones(A.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    K = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = (-R[:, free].T) % p
+    return K
+
+
+def _normal_form_rows_reference(gb, space):
+    """Dense matrix of per-monomial normal forms, over all columns."""
+    N = np.zeros((space.dimension, space.dimension), dtype=np.int64)
+    for i, m in enumerate(space.monomials):
+        for mm, c in gb.normal_form(space.ring.monomial(m)).terms.items():
+            N[i, space.index[mm]] = c
+    return N
+
+
+def _star_basis_reference(I, graded, bound):
+    """Per-monomial normal forms, per-block nullspaces, one final RREF."""
+    space = TruncatedSpace(I.ring, bound)
+    p = I.ring.field.characteristic
+    N = _normal_form_rows_reference(I.groebner(), space)
+    blocks = {}
+    for i, m in enumerate(space.monomials):
+        blocks.setdefault(graded.degree_of_monomial(m), []).append(i)
+    rows = [np.zeros((0, space.dimension), dtype=np.int64)]
+    for idx in blocks.values():
+        W = _nullspace_reference(N[idx, :].T, p)
+        V = np.zeros((len(W), space.dimension), dtype=np.int64)
+        V[:, idx] = W
+        rows.append(V)
+    return Subspace(space, np.vstack(rows))
+
+
+def _oracle_reference(I, graded, bound, S):
+    """oracle_compare with the escape check done row by row."""
+    gens = S.canonical_generators()
+    maxdeg = max((g.total_degree() for g in gens), default=0)
+    if bound < maxdeg + 2:
+        return OracleVerdict("error", f"degree bound {bound} below "
+                             f"generator degree {maxdeg} + 2")
+    B = truncated_star_basis(I, graded, bound)
+    for b in B.polynomials():
+        if not S.contains(b):
+            return OracleVerdict(
+                "fail", "truncated star vector escapes the computed star",
+                str(b))
+    for g in gens:
+        if not B.contains(g):
+            return OracleVerdict(
+                "fail", "computed star generator missing from the "
+                "truncated star space", str(g))
+    return OracleVerdict("pass", f"agreement at degree {bound}, space "
+                         f"dimension {B.dimension}")
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(ideal, grading, degree bound, another ideal) over 1-4 variables
+    and the four fields; the other ideal contains the first half the
+    time, so escapes are neither certain nor absent."""
+    p = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    ring = PolynomialRing(GF(p), ("x", "y", "z", "w")[:n])
+    top = {1: 4, 2: 3, 3: 2, 4: 2}[n]
+    mono = st.lists(st.integers(0, n - 1), max_size=top).map(
+        lambda vs: tuple(vs.count(i) for i in range(n)))
+    poly = st.dictionaries(mono, st.integers(1, p - 1), min_size=1,
+                           max_size=3).map(lambda t: Polynomial(ring, t))
+    I = Ideal(ring, draw(st.lists(poly, min_size=1,
+                                  max_size=3 if n < 4 else 2)))
+    rank = draw(st.integers(0, 2))
+    torsion = draw(st.lists(st.sampled_from((2, 3, 4)), max_size=1))
+    degrees = [(tuple(draw(st.integers(-1, 1)) for _ in range(rank)),
+                tuple(draw(st.integers(0, m - 1)) for m in torsion))
+               for _ in range(n)]
+    graded = GradedRing(ring, GradingGroup(rank, tuple(torsion)), degrees)
+    other = draw(st.lists(poly, max_size=2))
+    if draw(st.booleans()):
+        other += list(I.generators)
+    return I, graded, draw(st.integers(1, 6)), Ideal(ring, other)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices_mod_p(FIELDS))
+@example((5, np.zeros((3, 4), dtype=np.int64)))
+@example((2, np.zeros((0, 3), dtype=np.int64)))
+def test_kernel_is_born_in_rref(case):
+    p, A = case
+    K, free = _kernel(A, p)
+    R, pivots = _rref(_nullspace_reference(A, p), p)
+    assert K.tolist() == R.tolist() and free.tolist() == pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 5), st.integers(1, 40),
+       st.integers(1, 4), st.randoms(use_true_random=False))
+def test_matmul_mod_is_exact(p, rows, inner, cols, rnd):
+    A = [[rnd.randrange(p) for _ in range(inner)] for _ in range(rows)]
+    B = [[rnd.randrange(p) for _ in range(cols)] for _ in range(inner)]
+    want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)]
+            for row in A]
+    got = _matmul_mod(np.array(A, dtype=np.int64),
+                      np.array(B, dtype=np.int64), p)
+    assert got.tolist() == want
+
+
+def test_matmul_mod_at_the_dimension_budget():
+    p = 2147483647
+    A = np.full((2, oracle.MAX_SPACE_DIMENSION), p - 1, dtype=np.int64)
+    B = np.full((oracle.MAX_SPACE_DIMENSION, 3), p - 1, dtype=np.int64)
+    want = (p - 1) ** 2 * oracle.MAX_SPACE_DIMENSION % p
+    assert (_matmul_mod(A, B, p) == want).all()
+    assert (_matmul_mod(A[:, :1], B[:1], p) == 1).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_cases())
+def test_normal_form_matrix_matches_per_monomial_reduction(case):
+    I, _, bound, _ = case
+    assume(not I.is_zero)
+    space = TruncatedSpace(I.ring, bound)
+    gb = I.groebner()
+    N, reducible = _normal_form_matrix(gb, space)
+    standard = np.flatnonzero(~reducible)
+    reference = _normal_form_rows_reference(gb, space)
+    assert not np.delete(reference, standard, axis=1).any()
+    assert N.tolist() == reference[:, standard].tolist()
+    assert standard.tolist() == [
+        i for i, m in enumerate(space.monomials)
+        if not any(all(a >= b for a, b in zip(m, lm)) for lm in gb.leads)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_cases(), st.integers(1, 3))
+def test_star_basis_and_verdict_match_the_references(case, cut):
+    I, graded, bound, S = case
+    B = truncated_star_basis(I, graded, bound)
+    reference = _star_basis_reference(I, graded, bound)
+    assert B.matrix.tolist() == reference.matrix.tolist()
+    assert B.pivots == reference.pivots
+    # The span of the first rows holds them, so a later row escapes.
+    first_rows = Ideal(I.ring, B.polynomials()[:cut])
+    for claim in (S, first_rows):
+        escapes = [i for i, b in enumerate(B.polynomials())
+                   if not claim.contains(b)]
+        assert _first_escape(B, claim) == (escapes[0] if escapes else None)
+        assert oracle_compare(I, graded, bound, star_ideal=claim) == \
+            _oracle_reference(I, graded, bound, claim)
