@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,14 +190,29 @@ def monomial_dimension(I):
 
 # ---------------------------------------------------------------------------
 # Univariate principal ideals.  Dense coefficient lists, constant term
-# first.  Over a prime field the factorization is exhaustive trial division
-# by monic polynomials of ascending degree; over Q we take the squarefree
-# decomposition exactly and pull out linear factors by rational roots,
-# leaving any nonlinear squarefree residue as an assumed component.
-# Both searches enumerate candidates (monic polynomials over F_p, trial
-# divisors of the end coefficients over Q) and refuse with
-# ResourceLimitError before enumerating more than this many.
+# first.  Both fields start from the squarefree decomposition (_squarefree).
+# Over a prime field each squarefree part is then split completely by
+# distinct-degree factoring and Cantor-Zassenhaus equal-degree splitting;
+# over Q we pull out linear factors by rational roots and leave any
+# nonlinear squarefree residue as an assumed component.
+#
+# The dense stages refuse with ResourceLimitError when their estimated
+# cost, in coefficient operations, exceeds MAX_FACTOR_WORK: deg^2 for the
+# squarefree gcds, checked on the sparse input before any dense list is
+# built (a p-th root taken later only lowers the degree), and
+# m^3 * bit length of p for the distinct- and equal-degree stages on a
+# squarefree part of degree m.  The rational-root search over Q trial-
+# divides the end coefficients and refuses above MAX_FACTOR_CANDIDATES
+# divisor candidates.
+MAX_FACTOR_WORK = 2 * 10 ** 6
 MAX_FACTOR_CANDIDATES = 10 ** 5
+
+
+def _check_work(work, what):
+    if work > MAX_FACTOR_WORK:
+        raise ResourceLimitError(
+            f"{what} would take about {work} coefficient operations, "
+            f"over the budget of {MAX_FACTOR_WORK}")
 
 
 def _coeffs(f):
@@ -272,55 +288,128 @@ def _monic_uni(a, field):
     return out
 
 
-def _fp_factor(f_coeffs, field):
-    """{monic irreducible (tuple of residues): multiplicity} by trial
-    division with candidates of ascending degree.  Smaller factors are
-    removed first, so any successful division is by an irreducible."""
+def _mulmod_uni(a, b, g, field):
+    """a * b mod g over F_p."""
     p = field.characteristic
-    f = _monic_uni(_trim(list(f_coeffs)), field)
-    factors = {}
-    d = 1
-    candidates = 0
-    while _deg(f) >= 1:
-        if 2 * d > _deg(f):
-            factors[tuple(f)] = factors.get(tuple(f), 0) + 1
-            break
-        candidates += p ** d
-        if candidates > MAX_FACTOR_CANDIDATES:
-            raise ResourceLimitError(
-                f"factoring over F{p} would try {candidates} candidate "
-                f"factors, over the budget of {MAX_FACTOR_CANDIDATES}")
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            while True:
-                q, r = _divmod_uni(f, g, field)
-                if _deg(r) >= 0:
-                    break
-                factors[tuple(g)] = factors.get(tuple(g), 0) + 1
-                f = q
-            if _deg(f) < d:
-                break
-        d += 1
-    return factors
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                prod[i + j] += c * d
+    return _divmod_uni([c % p for c in prod], g, field)[1]
 
 
-def _yun_squarefree(f_coeffs, field):
-    """[(squarefree factor, multiplicity)] over a characteristic-0 field."""
-    f = _monic_uni(_trim(list(f_coeffs)), field)
-    df = _derivative_uni(f, field)
-    g = _gcd_uni(f, df, field)
-    w, _ = _divmod_uni(f, g, field)
-    out = []
-    i = 1
-    while _deg(w) >= 1:
-        y = _gcd_uni(w, g, field)
-        z, _ = _divmod_uni(w, y, field)
-        if _deg(z) >= 1:
-            out.append((z, i))
-        w = y
-        g, _ = _divmod_uni(g, y, field)
-        i += 1
+def _powmod_uni(a, e, g, field):
+    """a^e mod g over F_p, by square-and-multiply."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod_uni(out, out, g, field)
+        if bit == "1":
+            out = _mulmod_uni(out, a, g, field)
     return out
+
+
+def _squarefree(f, field):
+    """[(monic squarefree part, multiplicity)] of the univariate
+    polynomial f, over Q or F_p, by Yun's loop.  In characteristic p the
+    loop leaves behind the factors whose multiplicity p divides; their
+    product has zero derivative, so it is the p-th power of the
+    polynomial with its coefficients at multiples of p (c^(1/p) = c in
+    F_p), and the loop runs again on that root, multiplicities times p."""
+    _check_work(f.total_degree() ** 2, "squarefree decomposition")
+    p = field.characteristic
+    a = _monic_uni(_coeffs(f), field)
+    out = []
+    scale = 1
+    while True:
+        c = _gcd_uni(a, _derivative_uni(a, field), field)
+        w, _ = _divmod_uni(a, c, field)
+        i = 1
+        while _deg(w) >= 1:
+            y = _gcd_uni(w, c, field)
+            z, _ = _divmod_uni(w, y, field)
+            if _deg(z) >= 1:
+                out.append((z, i * scale))
+            w = y
+            c, _ = _divmod_uni(c, y, field)
+            i += 1
+        if _deg(c) < 1:
+            return out
+        a = c[::p]
+        scale *= p
+
+
+def _distinct_degree(g, field):
+    """[(product of the irreducible factors of degree d, d)] of a monic
+    squarefree g over F_p: gcd(x^(p^d) - x, g), once the factors of lower
+    degree are divided out."""
+    p = field.characteristic
+    out = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= _deg(g):
+        d += 1
+        h = _powmod_uni(h, p, g, field)
+        t = h + [0] * (2 - len(h))
+        t[1] = (t[1] - 1) % p
+        u = _gcd_uni(t, g, field)
+        if _deg(u) >= 1:
+            out.append((u, d))
+            g, _ = _divmod_uni(g, u, field)
+            h = _divmod_uni(h, g, field)[1]
+    if _deg(g) >= 1:
+        out.append((g, _deg(g)))
+    return out
+
+
+def _equal_degree(g, d, field, rng):
+    """The monic irreducible factors of a monic squarefree g over F_p
+    whose factors all have degree d (Cantor-Zassenhaus).  A random a
+    splits g at gcd(a^((p^d-1)/2) - 1, g) for odd p and at the trace
+    gcd(a + a^2 + ... + a^(2^(d-1)), g) for p = 2."""
+    p = field.characteristic
+    out = []
+    todo = [g]
+    while todo:
+        g = todo.pop()
+        n = _deg(g)
+        if n == d:
+            out.append(g)
+            continue
+        a = _trim([rng.randrange(p) for _ in range(n)]) or [0]
+        if p == 2:
+            t = s = a
+            for _ in range(d - 1):
+                s = _mulmod_uni(s, s, g, field)
+                t = [(u + v) % 2
+                     for u, v in itertools.zip_longest(t, s, fillvalue=0)]
+        else:
+            t = _powmod_uni(a, (p ** d - 1) // 2, g, field)
+            t[0] = (t[0] - 1) % p
+        u = _gcd_uni(t, g, field)
+        if 0 < _deg(u) < n:
+            todo += [u, _divmod_uni(g, u, field)[0]]
+        else:
+            todo.append(g)
+    return out
+
+
+def _fp_factor(f, field):
+    """{monic irreducible (tuple of residues): multiplicity} of the
+    univariate polynomial f over F_p: squarefree parts, then
+    distinct-degree factoring, then equal-degree splitting with a
+    generator seeded per call, so runs repeat exactly."""
+    p = field.characteristic
+    rng = random.Random(0)
+    factors = {}
+    for s, mult in _squarefree(f, field):
+        m = _deg(s)
+        _check_work(m ** 3 * p.bit_length(),
+                    f"factoring a squarefree part of degree {m} over F{p}")
+        for g, d in _distinct_degree(s, field):
+            for q in _equal_degree(g, d, field, rng):
+                factors[tuple(q)] = mult
+    return factors
 
 
 def _divisors(n):
@@ -370,7 +459,7 @@ def _rational_roots(s_coeffs):
 def univariate_primary_decomposition(I, require_verified=False):
     """(f) = intersection of (p_i^{e_i}) over the irreducible factors.
 
-    Prime fields factor exhaustively, so every component is verified.
+    Prime fields factor completely, so every component is verified.
     Over Q a nonlinear squarefree residue survives as one assumed
     component; with require_verified that raises UnsupportedClassError.
     """
@@ -387,12 +476,12 @@ def univariate_primary_decomposition(I, require_verified=False):
     field = ring.field
     components = []
     if field.characteristic:
-        for tail, mult in sorted(_fp_factor(_coeffs(f), field).items()):
+        for tail, mult in sorted(_fp_factor(f, field).items()):
             base = _from_coeffs(ring, list(tail))
             components.append(PrimaryComponent(
                 Ideal(ring, [base ** mult]), Ideal(ring, [base]), VERIFIED))
     else:
-        for z, mult in _yun_squarefree(_coeffs(f), field):
+        for z, mult in _squarefree(f, field):
             remaining = list(z)
             for root in _rational_roots(z):
                 lin = [-root, Fraction(1)]
@@ -472,18 +561,11 @@ def radical_ideal(I):
         return monomial_radical(I)
     if I.ring.nvars == 1:
         ring = I.ring
-        field = ring.field
         gb = list(I.groebner(GREVLEX))
         if not gb:
             return Ideal(ring)
-        f = gb[0]
-        if field.characteristic:
-            factors = [_from_coeffs(ring, list(tail))
-                       for tail in sorted(_fp_factor(_coeffs(f), field))]
-            return Ideal(ring, [math.prod(factors, start=ring.one())])
-        df = _derivative_uni(_coeffs(f), field)
-        g = _gcd_uni(_coeffs(f), df, field)
-        sqfree, _ = _divmod_uni(_monic_uni(_coeffs(f), field), g, field)
-        return Ideal(ring, [_from_coeffs(ring, sqfree)])
+        parts = [_from_coeffs(ring, s)
+                 for s, _ in _squarefree(gb[0], ring.field)]
+        return Ideal(ring, [math.prod(parts, start=ring.one())])
     raise UnsupportedClassError("radical outside supported classes")
 

@@ -20,8 +20,9 @@ from .decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
                             check_minimal, classical_decomposition,
                             is_monomial_ideal, minimal_primes, radical_ideal)
 from .grading import is_g_ideal, star
-from .groebner import (Ideal, colon, ideal_power, ideal_product,
-                       intersect_all, saturate_ideal)
+from .groebner import (Ideal, colon, ideal_product, intersect_all,
+                       saturate_ideal)
+from .poly import ResourceLimitError
 
 
 def _canon_key(I):
@@ -251,11 +252,19 @@ def poset_component(gdec, omega):
     return direct
 
 
-def g_associated_witness(N, graded, gdec, index, cap=64):
+# g_associated_witness refuses with ResourceLimitError once a power of the
+# G-radical needs more minimal generators than this: each next power costs
+# about the square of that count in divisibility tests.
+MAX_WITNESS_GENERATORS = 200
+
+
+def g_associated_witness(N, graded, gdec, index):
     """A homogeneous f with N : (f) equal to the index-th G-radical.
 
     Realizes the G-associated prime as an honest colon; existence is
     part of the theory, so failing to find one is an internal error.
+    The smallest power P^n of the G-radical inside N : M, M the other
+    components, gives f among the generators of P^(n-1) * M.
     """
     comps = gdec.components
     P = comps[index].g_radical
@@ -263,14 +272,17 @@ def g_associated_witness(N, graded, gdec, index, cap=64):
     others = [c.component for j, c in enumerate(comps) if j != index]
     M = intersect_all(others, ring)
     C = colon(N, M)
-    n = 1
-    power = P
+    previous, power = Ideal(ring, [ring.one()]), P
     while not all(C.contains(g) for g in power.generators):
-        n += 1
-        if n > cap:
-            raise ArithmeticError("no power of the G-radical fits the colon")
-        power = ideal_product(power, P)
-    L = ideal_product(ideal_power(P, n - 1), M)
+        # minimal generators keep P^n from carrying len(P)^n products
+        previous = power
+        power = Ideal(ring, ideal_product(power, P).canonical_generators())
+        if len(power.generators) > MAX_WITNESS_GENERATORS:
+            raise ResourceLimitError(
+                f"the powers of the G-radical outgrow "
+                f"{MAX_WITNESS_GENERATORS} generators before one fits "
+                f"the colon")
+    L = ideal_product(previous, M)
     for f in L.canonical_generators():
         if colon(N, f) == P:
             return f

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import hashlib
 import io
 import json
 
@@ -129,16 +130,54 @@ def test_saturation_exponent_is_found_or_refused(tmp_path, capsys):
     assert "saturation exponent" in result["payload"]["detail"]
 
 
+def _decompose_doc(field, generator):
+    return {"ring": {"field": field, "vars": ["x"]},
+            "ideals": {"I": [generator]},
+            "command": {"op": "decompose", "args": ["I"], "options": {}}}
+
+
+def test_irreducible_quadratic_over_large_prime(tmp_path, capsys):
+    # x^2 + 1 is irreducible over F_p for p = 3 mod 4
+    path = _write_job(tmp_path, _decompose_doc("F2147483647", "x^2 + 1"))
+    code = cli.main(["run", path])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["payload"]["components"] == [
+        {"component": ["x^2 + 1"], "radical": ["x^2 + 1"],
+         "status": "verified"}]
+
+    code = cli.main(["verify", path])
+    out, _ = capsys.readouterr()
+    entry = json.loads(out)["payload"]["ideals"]["I"]
+    assert code == 0
+    assert entry["theorems"]["status"] == "pass"
+    assert entry["oracle"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("field, digest", [
+    ("F5", "02cb109f2dd957711007de481a19c68304ac4caac35bee5328bd247ddabe6e03"),
+    ("Q", "5b8e5cd1b81c0c7f551c717f4de04da2edcd6c18123e73fef443f14159b84813"),
+], ids=["F5", "Q"])
+def test_high_degree_answer_is_unchanged(tmp_path, capsys, field, digest):
+    """x^1000 - 1 stays within the factoring budget; its output is pinned
+    byte for byte."""
+    code = cli.main(["run", _write_job(tmp_path,
+                                       _decompose_doc(field, "x^1000 - 1"))])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("field, generator, detail", [
-    ("F2147483647", "x^2 + 1", "factoring over F2147483647"),
+    ("F32003", "x^100 + x + 1", "squarefree part of degree 100 over F32003"),
+    ("F5", "x^20000 - 1", "squarefree decomposition"),
+    ("Q", "x^20000 - 1", "squarefree decomposition"),
     ("Q", "x^2 - 1000000000000000000000000000000", "rational root search"),
-], ids=["large-prime", "large-root-bound"])
+], ids=["high-degree", "huge-degree-fp", "huge-degree-q",
+        "large-root-bound"])
 def test_factoring_over_budget_exits_three(tmp_path, capsys, field,
                                            generator, detail):
-    doc = {"ring": {"field": field, "vars": ["x"]},
-           "ideals": {"I": [generator]},
-           "command": {"op": "decompose", "args": ["I"], "options": {}}}
-    path = _write_job(tmp_path, doc)
+    path = _write_job(tmp_path, _decompose_doc(field, generator))
     code = cli.main(["run", path])
     out, _ = capsys.readouterr()
     result = json.loads(out)

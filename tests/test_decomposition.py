@@ -1,15 +1,19 @@
 """Primary decomposition over the supported classes: monomial ideals in
 any number of variables, arbitrary ideals on a line."""
 
+import contextlib
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grady.decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
-                                 associated_primes, classical_decomposition,
+                                 _deg, _divmod_uni, _fp_factor, _from_coeffs,
+                                 _monic_uni, _trim, associated_primes,
+                                 classical_decomposition,
                                  is_monomial_ideal, minimal_primes,
                                  monomial_dimension,
                                  monomial_primary_decomposition,
@@ -100,6 +104,160 @@ def test_univariate_over_prime_field():
     rads = [[str(g) for g in c.radical.canonical_generators()]
             for c in dec.components]
     assert rads == [["x"], ["x + 4"]]
+
+
+# ---------------------------------------------------------------------------
+# Factoring over F_p against the trial division it replaced.
+
+REFERENCE_CANDIDATES = 5000
+
+
+def _trial_division_reference(f_coeffs, field):
+    """{monic irreducible tuple: multiplicity} by trial division with monic
+    candidates of ascending degree, so any successful division is by an
+    irreducible; None once the search would pass REFERENCE_CANDIDATES."""
+    p = field.characteristic
+    f = _monic_uni(_trim(list(f_coeffs)), field)
+    factors = {}
+    d = 1
+    candidates = 0
+    while _deg(f) >= 1:
+        if 2 * d > _deg(f):
+            factors[tuple(f)] = factors.get(tuple(f), 0) + 1
+            break
+        candidates += p ** d
+        if candidates > REFERENCE_CANDIDATES:
+            return None
+        for tail in itertools.product(range(p), repeat=d):
+            g = list(tail) + [1]
+            while True:
+                q, r = _divmod_uni(f, g, field)
+                if _deg(r) >= 0:
+                    break
+                factors[tuple(g)] = factors.get(tuple(g), 0) + 1
+                f = q
+            if _deg(f) < d:
+                break
+        d += 1
+    return factors
+
+
+def _mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = (out[i + j] + c * d) % p
+    return out
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail instead of hanging when a splitting loop never ends."""
+    def expire(signum, frame):
+        raise TimeoutError(f"factoring took over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _check_factoring(f, p):
+    """f (dense, any leading coefficient) factors into monic polynomials
+    whose product with multiplicities is monic f, and agrees with trial
+    division wherever that search is small enough."""
+    field = GF(p)
+    ring = PolynomialRing(field, ("x",))
+    with _time_limit(10):
+        factors = _fp_factor(_from_coeffs(ring, f), field)
+    product = [1]
+    for q, mult in factors.items():
+        assert q[-1] == 1 and len(q) >= 2
+        for _ in range(mult):
+            product = _mul(product, list(q), p)
+    assert product == _monic_uni(_trim(list(f)), field)
+    reference = _trial_division_reference(f, field)
+    if reference is not None:
+        assert factors == reference
+    return factors
+
+
+PRIMES = [2, 3, 5, 7, 31, 2147483647]
+
+
+@st.composite
+def _fp_products(draw):
+    """(coefficients, p): a scaled product of random monic polynomials
+    with multiplicities, of total degree 1 to 8, so factors repeat and
+    share irreducible factors."""
+    p = draw(st.sampled_from(PRIMES))
+    coeff = st.integers(0, p - 1)
+    f = [draw(st.integers(1, p - 1))]
+    budget = 8
+    for _ in range(draw(st.integers(1, 4))):
+        if budget < 1:
+            break
+        deg = draw(st.integers(1, min(3, budget)))
+        mult = draw(st.integers(1, budget // deg))
+        g = draw(st.lists(coeff, min_size=deg, max_size=deg)) + [1]
+        for _ in range(mult):
+            f = _mul(f, g, p)
+        budget -= deg * mult
+    return f, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fp_products())
+@example(([0, 0, 1, 1, 1], 2))  # x^2 (x^2 + x + 1)
+@example(([1, 0, 0, 0, 0, 0, 0, 0, 1], 2))  # (x + 1)^8
+@example(([0, 1, 0, 0, 0, 0, 0, 6], 7))  # -(x^7 - x), all of F7
+def test_fp_factor_matches_trial_division(case):
+    _check_factoring(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_fp_factor_of_pth_powers(p, data):
+    """g(x^p) = g^p over F_p: the squarefree loop sees a zero derivative,
+    takes the p-th root and multiplies multiplicities by p.  A random
+    cofactor h leaves the p-th power behind after the loop instead."""
+    max_deg = 8 // p
+    coeff = st.integers(0, p - 1)
+    g = data.draw(st.lists(coeff, min_size=max_deg, max_size=max_deg))
+    g = _trim(g + [1])
+    g_of_xp = [0] * (p * (len(g) - 1) + 1)
+    g_of_xp[::p] = g
+    g_to_p = [1]
+    for _ in range(p):
+        g_to_p = _mul(g_to_p, g, p)
+    assert g_of_xp == g_to_p
+    factors = _check_factoring(g_of_xp, p)
+    assert all(m % p == 0 for m in factors.values())
+    room = 8 - (len(g_of_xp) - 1)
+    if room:
+        h = data.draw(st.lists(coeff, min_size=room, max_size=room)) + [1]
+        _check_factoring(_mul(g_of_xp, h, p), p)
+
+
+@pytest.mark.parametrize("p, factors", [
+    (2, [[0, 1], [1, 1]]),
+    (2, [[1, 1, 0, 1], [1, 0, 1, 1]]),
+    (3, [[1, 0, 1], [2, 1, 1], [2, 2, 1]]),
+    (7, [[-r % 7, 1] for r in range(7)]),
+    (31, [[c, 0, 1] for c in (1, 2, 4, 5)]),
+    (2147483647, [[-r % 2147483647, 1] for r in (1, 2, 10 ** 9)]
+     + [[1, 0, 1]]),
+], ids=["F2-linear", "F2-cubics", "F3-quadratics", "F7-linear",
+        "F31-quadratics", "F2147483647-mixed"])
+def test_fp_factor_splits_equal_degree_factors(p, factors):
+    """Several irreducible factors of one degree reach equal-degree
+    splitting as a single product from distinct-degree factoring."""
+    f = [1]
+    for q in factors:
+        f = _mul(f, q, p)
+    assert _check_factoring(f, p) == {tuple(q): 1 for q in factors}
 
 
 def test_univariate_over_rationals():

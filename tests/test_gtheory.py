@@ -1,6 +1,7 @@
 """G-prime, G-primary, G-radical: the star-side decomposition theory."""
 
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,8 @@ from grady.gtheory import (GDecomposition, GPrimaryComponent,
                            g_radical, is_g_primary, is_g_prime,
                            is_g_radical, poset_component,
                            verify_theorem_suite)
-from grady.poly import GF, QQ, PolynomialRing, parse_polynomial
+from grady.poly import (GF, QQ, PolynomialRing, ResourceLimitError,
+                        parse_polynomial)
 
 from conftest import line_with_torsion
 
@@ -126,6 +128,22 @@ def test_g_associated_witness(Rxy, fine_xy):
         f = g_associated_witness(N, fine_xy, gdec, i)
         assert not f.is_zero
         assert colon(N, f) == c.g_radical
+
+
+def test_g_associated_witness_of_a_high_power(Rxy, fine_xy, monkeypatch):
+    """(x, y)^69 is the first power inside the colon: minimal generators
+    keep the powers at n + 1 generators instead of 2^n."""
+    N = Ideal(Rxy, ["x^70", "x*y"])
+    gdec = g_primary_decomposition(N, fine_xy)
+    index = [str(c.g_radical) for c in gdec.components].index("Ideal(x, y)")
+    start = time.perf_counter()
+    f = g_associated_witness(N, fine_xy, gdec, index)
+    assert time.perf_counter() - start < 0.5
+    assert str(f) == "x^69"
+
+    monkeypatch.setattr(gtheory, "MAX_WITNESS_GENERATORS", 20)
+    with pytest.raises(ResourceLimitError, match="20 generators"):
+        g_associated_witness(N, fine_xy, gdec, index)
 
 
 def test_theorem_suite_passes(Rxy, fine_xy):
