@@ -8,19 +8,18 @@ from .poly import (GF, GREVLEX, LEX, PolyParseError, Polynomial,
                    PolynomialRing, QQ, ResourceLimitError, RingMismatchError,
                    TermOrder, parse_polynomial)
 from .groebner import (GroebnerBasis, Ideal, buchberger, colon, eliminate,
-                       exact_quotient, ideal_contains, ideal_equal,
-                       ideal_membership, ideal_power, ideal_product,
-                       ideal_sum, intersect, intersect_all, normal_form,
-                       radical_membership, saturate, saturate_ideal)
-from .grading import (GradedRing, GradingGroup, Hdeg, component_filter,
-                      degree_of, homogeneous_components, is_g_ideal,
-                      is_homogeneous, star)
+                       exact_quotient, ideal_power, ideal_product, ideal_sum,
+                       intersect, intersect_all, radical_membership, saturate,
+                       saturate_ideal)
+from .grading import (GradedRing, GradingGroup, Hdeg, degree_of,
+                      homogeneous_components, is_g_ideal, is_homogeneous,
+                      star)
 from .decomposition import (Decomposition, PrimaryComponent,
                             UnsupportedClassError, associated_primes,
-                            classical_decomposition, is_monomial_ideal,
-                            minimal_primes, monomial_dimension,
-                            monomial_primary_decomposition, monomial_radical,
-                            radical_ideal, univariate_primary_decomposition)
+                            classical_decomposition, minimal_primes,
+                            monomial_dimension, monomial_primary_decomposition,
+                            monomial_radical, radical_ideal,
+                            univariate_primary_decomposition)
 from .gtheory import (GDecomposition, GPrimaryComponent,
                       g_associated_primes, g_associated_witness,
                       g_minimal_primes, g_primary_decomposition, g_radical,

@@ -75,11 +75,6 @@ class Decomposition:
 # Monomial ideals.  All computations below are combinatorics on the minimal
 # generating exponent tuples.
 
-def is_monomial_ideal(I):
-    """Order-independent: the reduced basis is all single-term."""
-    return I.is_monomial
-
-
 def _support(m):
     return tuple(i for i, e in enumerate(m) if e)
 
@@ -510,7 +505,7 @@ def univariate_primary_decomposition(I, require_verified=False):
 def classical_decomposition(I):
     if I.is_unit:
         raise ValueError("unit ideal has no primary decomposition")
-    if is_monomial_ideal(I):
+    if I.is_monomial:
         return monomial_primary_decomposition(I)
     if I.ring.nvars == 1:
         return univariate_primary_decomposition(I)
@@ -557,7 +552,7 @@ def minimal_primes(I):
 
 def radical_ideal(I):
     """Exact radical within the supported classes."""
-    if is_monomial_ideal(I):
+    if I.is_monomial:
         return monomial_radical(I)
     if I.ring.nvars == 1:
         ring = I.ring

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .groebner import GroebnerBasis, Ideal, eliminate
+from .groebner import GroebnerBasis, Ideal, _restrict, eliminate
 from .poly import GREVLEX, Polynomial, fresh_names
 
 
@@ -51,26 +51,10 @@ class GradingGroup:
             raise ValueError("degree has wrong shape for this group")
         return Hdeg(free, tuple(b % m for b, m in zip(tors, self.torsion)))
 
-    @property
-    def zero(self):
-        return Hdeg((0,) * self.free_rank, (0,) * len(self.torsion))
-
-    def add(self, a, b):
-        return Hdeg(tuple(x + y for x, y in zip(a.free, b.free)),
-                    tuple((x + y) % m for x, y, m in
-                          zip(a.torsion, b.torsion, self.torsion)))
-
-    def neg(self, a):
-        return Hdeg(tuple(-x for x in a.free),
-                    tuple((-x) % m for x, m in zip(a.torsion, self.torsion)))
-
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def scale(self, a, n):
-        return Hdeg(tuple(n * x for x in a.free),
-                    tuple((n * x) % m for x, m in
-                          zip(a.torsion, self.torsion)))
+        return Hdeg(tuple(x - y for x, y in zip(a.free, b.free)),
+                    tuple((x - y) % m for x, y, m in
+                          zip(a.torsion, b.torsion, self.torsion)))
 
     def __eq__(self, other):
         return (isinstance(other, GradingGroup)
@@ -160,17 +144,6 @@ def is_g_ideal(I, graded):
         if not all(I.contains(c) for c in comps.values()):
             return False
     return True
-
-
-def component_filter(I, graded):
-    """Ideal generated by the generator components already inside I: a
-    cheap under-approximation of the largest homogeneous subideal."""
-    kept = []
-    for g in I.generators:
-        for c in homogeneous_components(g, graded).values():
-            if I.contains(c):
-                kept.append(c)
-    return Ideal(I.ring, kept)
 
 
 def _primed(ring, reduced_elements):
@@ -265,8 +238,6 @@ def star(I, graded):
         relations.append(big.one() - big.gen(z_at) * prod)
 
     upstairs = eliminate(Ideal(big, lifted + relations), aux)
-    back = {i: i for i in range(n)}
     # The aux-free slice of the reduced elimination basis is a reduced
     # grevlex basis downstairs (the block order restricts to grevlex).
-    down = [f.map_to(ring, back) for f in upstairs.generators]
-    return _primed(ring, down)
+    return _primed(ring, _restrict(upstairs.generators, ring))

@@ -333,23 +333,6 @@ class Ideal:
         return f"Ideal({gens})" if gens else "Ideal(0)"
 
 
-def normal_form(f, ideal, order=GREVLEX):
-    return ideal.groebner(order).normal_form(f)
-
-
-def ideal_membership(f, ideal):
-    return ideal.contains(f)
-
-
-def ideal_equal(I, J):
-    return I == J
-
-
-def ideal_contains(I, J):
-    """True when J is a subset of I."""
-    return J <= I
-
-
 def ideal_sum(I, *rest):
     gens = list(I.generators)
     for J in rest:
@@ -387,16 +370,11 @@ def _extension(ring, label, count=1):
     return big, var_map, new_idx
 
 
-def _restrict(polys, big, small, elim_indices):
-    """Map elimination output back down; keeps only polys free of the
-    eliminated variables (the rest are dropped by the caller's selection)."""
+def _restrict(polys, small):
+    """Map polynomials free of the extension's trailing variables (such
+    as eliminate's output) back to the small ring."""
     back = {i: i for i in range(small.nvars)}
-    out = []
-    for f in polys:
-        if any(m[i] for m in f.terms for i in elim_indices):
-            continue
-        out.append(f.map_to(small, back))
-    return out
+    return [f.map_to(small, back) for f in polys]
 
 
 def eliminate(ideal, variables):
@@ -435,7 +413,7 @@ def intersect(I, J):
     gens = [t * f for f in _lift(I.groebner(GREVLEX), big, var_map)]
     gens += [(one - t) * g for g in _lift(J.groebner(GREVLEX), big, var_map)]
     upstairs = eliminate(Ideal(big, gens), [ti])
-    return Ideal(ring, _restrict(upstairs.generators, big, ring, (ti,)))
+    return Ideal(ring, _restrict(upstairs.generators, ring))
 
 
 def intersect_all(ideals, ring=None):
@@ -534,9 +512,7 @@ def _saturation(I, f):
     big, var_map, (zi,) = _extension(ring, "z")
     rel = big.one() - big.gen(zi) * f.map_to(big, var_map)
     up = Ideal(big, _lift(I.groebner(GREVLEX), big, var_map) + [rel])
-    return Ideal(ring,
-                 _restrict(eliminate(up, [zi]).generators, big, ring,
-                           (zi,)))
+    return Ideal(ring, _restrict(eliminate(up, [zi]).generators, ring))
 
 
 def saturate(I, f):

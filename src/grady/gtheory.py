@@ -18,7 +18,7 @@ from .decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
                             _decompose_for_primes, _inclusion_minimal,
                             _irredundant, _primes_of, associated_primes,
                             check_minimal, classical_decomposition,
-                            is_monomial_ideal, minimal_primes, radical_ideal)
+                            minimal_primes, radical_ideal)
 from .grading import is_g_ideal, star
 from .groebner import (Ideal, colon, ideal_product, intersect_all,
                        saturate_ideal)
@@ -293,7 +293,7 @@ def _dimension_of_prime(P):
     ring = P.ring
     if P.is_zero:
         return ring.nvars
-    if is_monomial_ideal(P):
+    if P.is_monomial:
         return ring.nvars - len(P.monomial_generators())
     if ring.nvars == 1:
         return 0

@@ -27,7 +27,7 @@ from .decomposition import (UnsupportedClassError, associated_primes,
                             classical_decomposition, minimal_primes)
 from .fitting import PresentationMatrix, fitting_ideal, graded_matrix_check
 from .grading import GradedRing, GradingGroup, is_g_ideal, star
-from .groebner import (GREVLEX, Ideal, colon, eliminate, ideal_membership,
+from .groebner import (GREVLEX, GroebnerBasis, Ideal, colon, eliminate,
                        intersect, radical_membership, saturate, saturate_ideal)
 from .gtheory import (g_associated_primes, g_minimal_primes,
                       g_primary_decomposition, g_radical, is_g_primary,
@@ -250,200 +250,86 @@ class ResultDocument:
 
 
 def _gens_list(I):
-    return [str(g) for g in I.canonical_generators()]
+    """Printed generators: a Groebner basis as it stands, an ideal by its
+    canonical generators."""
+    gb = I if isinstance(I, GroebnerBasis) else I.groebner(GREVLEX)
+    return [str(g) for g in gb.by_lead_descending()]
 
 
-def _ideal_payload(I):
-    return {"generators": _gens_list(I)}
+# Result kind of a decomposition -> the key of its components' radicals.
+_RADICAL_KEY = {"decomp": "radical", "gdecomp": "g_radical"}
 
 
-def _prime_list_payload(primes):
-    return {"primes": [_gens_list(P) for P in primes]}
-
-
-def _decomposition_payload(dec):
+def _decomposition_payload(dec, kind):
+    key = _RADICAL_KEY[kind]
     return {"minimal": True,
             "components": [{"component": _gens_list(c.component),
-                            "radical": _gens_list(c.radical),
+                            key: _gens_list(getattr(c, key)),
                             "status": c.status}
                            for c in dec.components]}
 
 
-def _gdecomposition_payload(gdec):
-    return {"minimal": True,
-            "components": [{"component": _gens_list(c.component),
-                            "g_radical": _gens_list(c.g_radical),
-                            "status": c.status}
-                           for c in gdec.components]}
+# Result kind -> payload builder for the value an op returns.
+_PAYLOADS = {
+    "ideal": lambda I: {"generators": _gens_list(I)},
+    "bool": lambda value: {"value": value},
+    "saturate": lambda result: {"generators": _gens_list(result[0]),
+                                "exponent": result[1]},
+    "primes": lambda primes: {"primes": [_gens_list(P) for P in primes]},
+    "decomp": lambda dec: _decomposition_payload(dec, "decomp"),
+    "gdecomp": lambda dec: _decomposition_payload(dec, "gdecomp"),
+    "report": lambda report: report,
+    "verdict": lambda verdict: verdict.to_payload(),
+}
 
 
-def _ideal_arg(job, i):
+def _arg(job, i, kind):
+    """Command argument i resolved as kind: "ideal" or "matrix" (a name
+    in the document), "polynomial", "ideal-or-polynomial" (a name if it
+    names an ideal, else a polynomial) or "integer"."""
+    path = f"command.args[{i}]"
     if i >= len(job.args):
-        raise JobError(f"command.args[{i}]", "missing ideal argument")
-    name = job.args[i]
-    if name not in job.ideals:
-        raise JobError(f"command.args[{i}]", f"no ideal named {name!r}")
-    return job.ideals[name]
-
-
-def _poly_or_ideal_arg(job, i):
-    if i >= len(job.args):
-        raise JobError(f"command.args[{i}]", "missing argument")
+        what = "" if kind == "ideal-or-polynomial" else f"{kind} "
+        raise JobError(path, f"missing {what}argument")
     token = job.args[i]
-    if token in job.ideals:
+    if kind in ("ideal", "matrix"):
+        named = job.ideals if kind == "ideal" else job.matrices
+        if token not in named:
+            raise JobError(path, f"no {kind} named {token!r}")
+        return named[token]
+    if kind == "integer":
+        try:
+            return int(token)
+        except (TypeError, ValueError):
+            raise JobError(path, "expected an integer")
+    if kind == "ideal-or-polynomial" and token in job.ideals:
         return job.ideals[token]
-    return _parse_poly(token, job.ring, f"command.args[{i}]")
+    return _parse_poly(token, job.ring, path)
 
 
-def _poly_arg(job, i):
-    if i >= len(job.args):
-        raise JobError(f"command.args[{i}]", "missing polynomial argument")
-    return _parse_poly(job.args[i], job.ring, f"command.args[{i}]")
-
-
-def _matrix_arg(job, i):
-    if i >= len(job.args):
-        raise JobError(f"command.args[{i}]", "missing matrix argument")
-    name = job.args[i]
-    if name not in job.matrices:
-        raise JobError(f"command.args[{i}]", f"no matrix named {name!r}")
-    return job.matrices[name]
-
-
-def _int_arg(job, i):
-    if i >= len(job.args):
-        raise JobError(f"command.args[{i}]", "missing integer argument")
-    try:
-        return int(job.args[i])
-    except (TypeError, ValueError):
-        raise JobError(f"command.args[{i}]", "expected an integer")
-
-
-def _order_option(job):
+def _groebner(job):
+    # The order option is read before the ideal is resolved, so a
+    # document with both faults reports the order.
     name = job.options.get("order", "grevlex")
-    if name == "grevlex":
-        return GREVLEX
-    if name == "lex":
-        return LEX
-    raise JobError("command.options.order", 'expected "grevlex" or "lex"')
+    if name not in ("grevlex", "lex"):
+        raise JobError("command.options.order", 'expected "grevlex" or "lex"')
+    order = GREVLEX if name == "grevlex" else LEX
+    return _arg(job, 0, "ideal").groebner(order)
 
 
-def _op_groebner(job):
-    order = _order_option(job)
-    gb = _ideal_arg(job, 0).groebner(order)
-    return {"generators": [str(g) for g in gb.by_lead_descending()]}, \
-        "ideal"
-
-
-def _op_star(job):
-    return _ideal_payload(star(_ideal_arg(job, 0), job.graded)), "ideal"
-
-
-def _op_is_g_ideal(job):
-    return {"value": is_g_ideal(_ideal_arg(job, 0), job.graded)}, "bool"
-
-
-def _op_grad(job):
-    return _ideal_payload(g_radical(_ideal_arg(job, 0), job.graded)), "ideal"
-
-
-def _op_is_g_radical(job):
-    return {"value": is_g_radical(_ideal_arg(job, 0), job.graded)}, "bool"
-
-
-def _op_is_g_prime(job):
-    return {"value": is_g_prime(_ideal_arg(job, 0), job.graded)}, "bool"
-
-
-def _op_is_g_primary(job):
-    return {"value": is_g_primary(_ideal_arg(job, 0), job.graded)}, "bool"
-
-
-def _op_gdecomp(job):
-    gdec = g_primary_decomposition(_ideal_arg(job, 0), job.graded)
-    return _gdecomposition_payload(gdec), "gdecomp"
-
-
-def _op_decompose(job):
-    dec = classical_decomposition(_ideal_arg(job, 0))
-    return _decomposition_payload(dec), "decomp"
-
-
-def _op_g_ass(job):
-    primes = g_associated_primes(_ideal_arg(job, 0), job.graded)
-    return _prime_list_payload(primes), "primes"
-
-
-def _op_g_min(job):
-    primes = g_minimal_primes(_ideal_arg(job, 0), job.graded)
-    return _prime_list_payload(primes), "primes"
-
-
-def _op_ass(job):
-    return _prime_list_payload(associated_primes(_ideal_arg(job, 0))), \
-        "primes"
-
-
-def _op_min(job):
-    return _prime_list_payload(minimal_primes(_ideal_arg(job, 0))), "primes"
-
-
-def _op_membership(job):
-    I = _ideal_arg(job, 0)
-    f = _poly_arg(job, 1)
-    return {"value": ideal_membership(f, I)}, "bool"
-
-
-def _op_radical_membership(job):
-    I = _ideal_arg(job, 0)
-    f = _poly_arg(job, 1)
-    return {"value": radical_membership(f, I)}, "bool"
-
-
-def _op_intersect(job):
-    return _ideal_payload(intersect(_ideal_arg(job, 0),
-                                    _ideal_arg(job, 1))), "ideal"
-
-
-def _op_colon(job):
-    return _ideal_payload(colon(_ideal_arg(job, 0),
-                                _poly_or_ideal_arg(job, 1))), "ideal"
-
-
-def _op_saturate(job):
-    I = _ideal_arg(job, 0)
-    by = _poly_or_ideal_arg(job, 1)
+def _saturate(job, I, by):
     if isinstance(by, Ideal):
-        S, n = saturate_ideal(I, by), None
-    else:
-        S, n = saturate(I, by)
-    payload = _ideal_payload(S)
-    payload["exponent"] = n
-    return payload, "saturate"
+        return saturate_ideal(I, by), None
+    return saturate(I, by)
 
 
-def _op_eliminate(job):
-    I = _ideal_arg(job, 0)
+def _eliminate(job, I):
     if len(job.args) < 2:
         raise JobError("command.args", "eliminate needs variable names")
     for i, v in enumerate(job.args[1:], start=1):
         if v not in job.ring.variables:
             raise JobError(f"command.args[{i}]", f"unknown variable {v!r}")
-    return _ideal_payload(eliminate(I, job.args[1:])), "ideal"
-
-
-def _op_fitting(job):
-    M = _matrix_arg(job, 0)
-    j = _int_arg(job, 1)
-    return _ideal_payload(fitting_ideal(M, j)), "ideal"
-
-
-def _op_graded_check(job):
-    return graded_matrix_check(_matrix_arg(job, 0), job.graded), "report"
-
-
-def _op_theorems(job):
-    return verify_theorem_suite(_ideal_arg(job, 0), job.graded), "report"
+    return eliminate(I, job.args[1:])
 
 
 def _oracle_verdict(job, I):
@@ -459,41 +345,55 @@ def _oracle_verdict(job, I):
     return compare(I, job.graded, bound, star_ideal=S)
 
 
-def _op_oracle(job):
-    return _oracle_verdict(job, _ideal_arg(job, 0)).to_payload(), "verdict"
+def _graded(fn):
+    """Op function for fn(argument, grading)."""
+    return lambda job, x: fn(x, job.graded)
 
 
+def _plain(fn):
+    """Op function for fn(arguments...), which needs nothing else."""
+    return lambda job, *args: fn(*args)
+
+
+_IDEAL = ("ideal",)
+
+# op -> (function of the job and its resolved arguments, argument kinds,
+# result kind).
 OPS = {
-    "groebner": _op_groebner,
-    "star": _op_star,
-    "is_g_ideal": _op_is_g_ideal,
-    "grad": _op_grad,
-    "is_g_radical": _op_is_g_radical,
-    "is_g_prime": _op_is_g_prime,
-    "is_g_primary": _op_is_g_primary,
-    "gdecomp": _op_gdecomp,
-    "decompose": _op_decompose,
-    "g_ass": _op_g_ass,
-    "g_min": _op_g_min,
-    "ass": _op_ass,
-    "min": _op_min,
-    "membership": _op_membership,
-    "radical_membership": _op_radical_membership,
-    "intersect": _op_intersect,
-    "colon": _op_colon,
-    "saturate": _op_saturate,
-    "eliminate": _op_eliminate,
-    "fitting": _op_fitting,
-    "graded_check": _op_graded_check,
-    "theorems": _op_theorems,
-    "oracle": _op_oracle,
+    "groebner": (_groebner, (), "ideal"),
+    "star": (_graded(star), _IDEAL, "ideal"),
+    "is_g_ideal": (_graded(is_g_ideal), _IDEAL, "bool"),
+    "grad": (_graded(g_radical), _IDEAL, "ideal"),
+    "is_g_radical": (_graded(is_g_radical), _IDEAL, "bool"),
+    "is_g_prime": (_graded(is_g_prime), _IDEAL, "bool"),
+    "is_g_primary": (_graded(is_g_primary), _IDEAL, "bool"),
+    "gdecomp": (_graded(g_primary_decomposition), _IDEAL, "gdecomp"),
+    "decompose": (_plain(classical_decomposition), _IDEAL, "decomp"),
+    "g_ass": (_graded(g_associated_primes), _IDEAL, "primes"),
+    "g_min": (_graded(g_minimal_primes), _IDEAL, "primes"),
+    "ass": (_plain(associated_primes), _IDEAL, "primes"),
+    "min": (_plain(minimal_primes), _IDEAL, "primes"),
+    "membership": (lambda job, I, f: I.contains(f),
+                   ("ideal", "polynomial"), "bool"),
+    "radical_membership": (lambda job, I, f: radical_membership(f, I),
+                           ("ideal", "polynomial"), "bool"),
+    "intersect": (_plain(intersect), ("ideal", "ideal"), "ideal"),
+    "colon": (_plain(colon), ("ideal", "ideal-or-polynomial"), "ideal"),
+    "saturate": (_saturate, ("ideal", "ideal-or-polynomial"), "saturate"),
+    "eliminate": (_eliminate, _IDEAL, "ideal"),
+    "fitting": (_plain(fitting_ideal), ("matrix", "integer"), "ideal"),
+    "graded_check": (_graded(graded_matrix_check), ("matrix",), "report"),
+    "theorems": (_graded(verify_theorem_suite), _IDEAL, "report"),
+    "oracle": (_oracle_verdict, _IDEAL, "verdict"),
 }
 
 
 def execute_job(job):
     start = time.perf_counter()
     try:
-        payload, kind = OPS[job.op](job)
+        fn, kinds, kind = OPS[job.op]
+        args = [_arg(job, i, k) for i, k in enumerate(kinds)]
+        payload = _PAYLOADS[kind](fn(job, *args))
         status = "ok"
     except UnsupportedClassError as exc:
         payload = {"reason": "unsupported-class", "detail": str(exc)}
@@ -501,9 +401,6 @@ def execute_job(job):
     except ResourceLimitError as exc:
         payload = {"reason": "budget", "detail": str(exc)}
         status, kind = "unsupported", "error"
-    except (JobError, PolyParseError) as exc:
-        payload = {"reason": "input-error", "detail": str(exc)}
-        status, kind = "error", "error"
     except (ValueError, ArithmeticError) as exc:
         payload = {"reason": "input-error", "detail": str(exc)}
         status, kind = "error", "error"
@@ -575,14 +472,11 @@ def render_result(doc, fmt="json"):
                 + f"\nexponent: {p['exponent']}")
     if doc.kind == "primes":
         return "\n".join(_text_ideal(q) for q in p["primes"])
-    if doc.kind == "gdecomp":
+    if doc.kind in _RADICAL_KEY:
+        key = _RADICAL_KEY[doc.kind]
         return "\n".join(
             _text_ideal(c["component"]) + " ⊣ "
-            + _text_ideal(c["g_radical"]) for c in p["components"])
-    if doc.kind == "decomp":
-        return "\n".join(
-            _text_ideal(c["component"]) + " ⊣ "
-            + _text_ideal(c["radical"]) for c in p["components"])
+            + _text_ideal(c[key]) for c in p["components"])
     if doc.kind == "report":
         lines = [f"status: {p['status']}"]
         for c in p["checks"]:

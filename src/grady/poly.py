@@ -68,10 +68,6 @@ class CoefficientField:
         self.characteristic = p
 
     @property
-    def kind(self):
-        return "rationals" if self.characteristic == 0 else "prime-field"
-
-    @property
     def zero(self):
         return Fraction(0) if self.characteristic == 0 else 0
 
@@ -90,11 +86,6 @@ class CoefficientField:
                 raise ZeroDivisionError("inverse of zero")
             return 1 / Fraction(a)
         return pow(a, -1, self.characteristic)
-
-    def neg(self, a):
-        if self.characteristic == 0:
-            return -a
-        return (-a) % self.characteristic
 
     def __eq__(self, other):
         return (isinstance(other, CoefficientField)
@@ -375,19 +366,6 @@ class Polynomial:
             out = {m: (a * c) % p for m, a in self.terms.items()}
         else:
             out = {m: a * c for m, a in self.terms.items()}
-        return Polynomial(self.ring, out, _clean=True)
-
-    def mul_monomial(self, exps, coeff=None):
-        """Multiply by coeff * x^exps in one pass."""
-        p = self.ring.field.characteristic
-        c = self.ring.field.one if coeff is None else coeff
-        out = {}
-        for m, a in self.terms.items():
-            ac = a * c
-            if p:
-                ac %= p
-            if ac:
-                out[tuple(map(add, m, exps))] = ac
         return Polynomial(self.ring, out, _clean=True)
 
     def __pow__(self, n):

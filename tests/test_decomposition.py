@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from grady.decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
                                  _deg, _divmod_uni, _fp_factor, _from_coeffs,
                                  _monic_uni, _trim, associated_primes,
-                                 classical_decomposition,
-                                 is_monomial_ideal, minimal_primes,
+                                 classical_decomposition, minimal_primes,
                                  monomial_dimension,
                                  monomial_primary_decomposition,
                                  monomial_radical, radical_ideal,
@@ -29,10 +28,10 @@ def _comp_gens(dec):
 
 
 def test_is_monomial_ideal(Rxy):
-    assert is_monomial_ideal(Ideal(Rxy, ["x^2", "x*y"]))
+    assert Ideal(Rxy, ["x^2", "x*y"]).is_monomial
     # reduced basis reveals hidden monomial ideals
-    assert is_monomial_ideal(Ideal(Rxy, ["x + y^2", "y^2"]))
-    assert not is_monomial_ideal(Ideal(Rxy, ["x + y"]))
+    assert Ideal(Rxy, ["x + y^2", "y^2"]).is_monomial
+    assert not Ideal(Rxy, ["x + y"]).is_monomial
 
 
 def test_monomial_radical(Rxy):

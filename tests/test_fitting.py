@@ -7,7 +7,7 @@ import pytest
 from grady.fitting import (PresentationMatrix, fitting_ideal,
                            graded_matrix_check, map_entries)
 from grady.grading import GradedRing, GradingGroup
-from grady.groebner import Ideal, ideal_contains
+from grady.groebner import Ideal
 from grady.poly import QQ, Polynomial, PolynomialRing
 
 
@@ -108,8 +108,7 @@ def test_fitting_chain_and_invariance(Rxy):
         M = PresentationMatrix(Rxy, grid)
         # ascending chain Fitt_{j} <= Fitt_{j+1}
         for j in range(-1, rows + 1):
-            assert ideal_contains(fitting_ideal(M, j + 1),
-                                  fitting_ideal(M, j))
+            assert fitting_ideal(M, j) <= fitting_ideal(M, j + 1)
         # row and column permutations change nothing
         pr = list(range(rows))
         pc = list(range(cols))
