@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import GREVLEX, Ideal, _monomial_min_gens, intersect_all
+from .groebner import (GREVLEX, Ideal, _monomial_ideal, _monomial_min_gens,
+                       _primed, intersect_all)
 from .poly import Polynomial, ResourceLimitError
 
 
@@ -80,16 +81,14 @@ def _support(m):
 
 
 def _variable_ideal(ring, indices):
-    return Ideal(ring, [ring.gen(i) for i in sorted(indices)])
+    return _primed(ring, [ring.gen(i) for i in sorted(indices)])
 
 
 def monomial_radical(I):
     """Squarefree parts of the minimal generators, minimalized."""
     gens = I.monomial_generators()
     squarefree = [tuple(1 if e else 0 for e in m) for m in gens]
-    ring = I.ring
-    return Ideal(ring, [ring.monomial(m)
-                        for m in sorted(_monomial_min_gens(squarefree))])
+    return _monomial_ideal(I.ring, sorted(_monomial_min_gens(squarefree)))
 
 
 def _irreducible_split(gens, split):
@@ -164,8 +163,7 @@ def monomial_primary_decomposition(I, split="first"):
 
     merged = []
     for sup in sorted(groups):
-        members = [Ideal(ring, [ring.monomial(m) for m in comp])
-                   for comp in groups[sup]]
+        members = [_monomial_ideal(ring, comp) for comp in groups[sup]]
         merged.append((sup, intersect_all(members, ring)))
 
     merged.sort(key=lambda t: (len(t[0]), t[0]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .groebner import GroebnerBasis, Ideal, _restrict, eliminate
+from .groebner import Ideal, _primed, _restrict, eliminate
 from .poly import GREVLEX, Polynomial, fresh_names
 
 
@@ -146,19 +146,6 @@ def is_g_ideal(I, graded):
     return True
 
 
-def _primed(ring, reduced_elements):
-    """Ideal whose grevlex basis is already known; avoids re-running
-    Buchberger on every published result."""
-    ascending = sorted(((g.leading_monomial(GREVLEX), g)
-                        for g in reduced_elements),
-                       key=lambda e: GREVLEX.key(e[0]))
-    gb = GroebnerBasis(ring, GREVLEX, [g for _, g in ascending],
-                       [lm for lm, _ in ascending])
-    out = Ideal(ring, gb.by_lead_descending())
-    out._bases[GREVLEX] = gb
-    return out
-
-
 def star(I, graded):
     """Largest homogeneous ideal contained in I.
 
@@ -175,7 +162,8 @@ def star(I, graded):
     if I.is_zero:
         return Ideal(ring)
     gens = I.canonical_generators()
-    if graded.group.is_trivial:
+    # Monomials are homogeneous: a monomial ideal is its own star.
+    if graded.group.is_trivial or I.is_monomial:
         return _primed(ring, gens)
 
     # Already generated by homogeneous elements: the ideal is its own star.
@@ -238,6 +226,4 @@ def star(I, graded):
         relations.append(big.one() - big.gen(z_at) * prod)
 
     upstairs = eliminate(Ideal(big, lifted + relations), aux)
-    # The aux-free slice of the reduced elimination basis is a reduced
-    # grevlex basis downstairs (the block order restricts to grevlex).
-    return _primed(ring, _restrict(upstairs.generators, ring))
+    return _primed(ring, _restrict(upstairs, ring).canonical_generators())

@@ -12,6 +12,18 @@ Determinism contract: S-pairs are processed in a fixed order (lcm under the
 working order, then generator indices), bases are reduced and monic, and
 every published generator list is sorted, so identical inputs give identical
 output bytes.
+
+Published bases: a result whose reduced monic grevlex basis is already at
+hand carries it (_primed), so Buchberger never rebuilds it.  Monomial
+results (intersect, intersect_all and colon on monomials, and the
+radicals, variable ideals and merged components of decomposition) are
+primed from their minimal exponent tuples, which with coefficient one
+are a reduced monic basis.  eliminate primes the slice of its reduced
+elimination basis free of the eliminated variables: the block order is
+grevlex there and the whole basis is reduced, so the slice is the
+reduced grevlex basis of the elimination ideal; _restrict carries it to
+the small ring for intersect, saturation and star.  Priming never
+changes the order of an ideal's generators.
 """
 
 from __future__ import annotations
@@ -150,12 +162,11 @@ def buchberger(generators, order):
     if not seed:
         return GroebnerBasis(ring, order, (), ())
 
-    key = order.key
     if all(g.is_monomial for g in seed):
-        gens = sorted(_monomial_min_gens([g.leading_monomial(order)
-                                          for g in seed]), key=key)
-        return GroebnerBasis(ring, order, [ring.monomial(m) for m in gens],
-                             gens)
+        gens = _monomial_min_gens([g.leading_monomial(order) for g in seed])
+        return _basis(ring, order, [ring.monomial(m) for m in gens], gens)
+
+    key = order.key
 
     basis = []          # (lm, monic terms); retired entries still reduce
     live = []           # indices of the entries that take new pairs
@@ -179,6 +190,14 @@ def buchberger(generators, order):
 
     leads, elements = _reduce_basis([basis[i] for i in live], order, ring)
     return GroebnerBasis(ring, order, elements, leads)
+
+
+def _basis(ring, order, elements, leads):
+    """GroebnerBasis of reduced monic elements with these leads, both
+    given in any matching order."""
+    ranked = sorted(zip(leads, elements), key=lambda e: order.key(e[0]))
+    return GroebnerBasis(ring, order, [g for _, g in ranked],
+                         [lm for lm, _ in ranked])
 
 
 def _monic(lm, terms, field):
@@ -333,6 +352,22 @@ class Ideal:
         return f"Ideal({gens})" if gens else "Ideal(0)"
 
 
+def _primed(ring, gens, leads=None):
+    """Ideal generated by gens, in this order, which already form its
+    reduced monic grevlex basis (leads: their grevlex leading monomials,
+    when the caller has them); the basis is stored, not recomputed."""
+    out = Ideal(ring, gens)
+    if leads is None:
+        leads = [g.leading_monomial(GREVLEX) for g in out.generators]
+    out._bases[GREVLEX] = _basis(ring, GREVLEX, out.generators, leads)
+    return out
+
+
+def _monomial_ideal(ring, exps):
+    """Ideal of the distinct minimal monomials exps, in this order."""
+    return _primed(ring, [ring.monomial(m) for m in exps], exps)
+
+
 def ideal_sum(I, *rest):
     gens = list(I.generators)
     for J in rest:
@@ -370,16 +405,17 @@ def _extension(ring, label, count=1):
     return big, var_map, new_idx
 
 
-def _restrict(polys, small):
-    """Map polynomials free of the extension's trailing variables (such
-    as eliminate's output) back to the small ring."""
+def _restrict(ideal, small):
+    """An eliminate result free of the extension's trailing variables,
+    mapped back to the small ring with its basis and generator order."""
     back = {i: i for i in range(small.nvars)}
-    return [f.map_to(small, back) for f in polys]
+    return _primed(small, [f.map_to(small, back) for f in ideal.generators])
 
 
 def eliminate(ideal, variables):
     """Generators of ideal ∩ k[remaining variables], as an ideal of the
-    same ring (output polynomials avoid the eliminated variables)."""
+    same ring (output polynomials avoid the eliminated variables), its
+    grevlex basis primed."""
     ring = ideal.ring
     indices = frozenset(
         ring.variable_index(v) if isinstance(v, str) else int(v)
@@ -390,7 +426,7 @@ def eliminate(ideal, variables):
     gb = ideal.groebner(order)
     kept = [g for g in gb
             if not any(m[i] for m in g.terms for i in indices)]
-    return Ideal(ring, kept)
+    return _primed(ring, kept)
 
 
 def intersect(I, J):
@@ -402,27 +438,40 @@ def intersect(I, J):
     if I.is_zero or J.is_zero:
         return Ideal(ring)
     if I.is_monomial and J.is_monomial:
-        lcms = [mono_lcm(a, b)
-                for a in I.monomial_generators()
-                for b in J.monomial_generators()]
-        return Ideal(ring, [ring.monomial(m)
-                            for m in _monomial_min_gens(lcms)])
+        return _monomial_ideal(ring, _monomial_meet(
+            I.monomial_generators(), J.monomial_generators()))
     big, var_map, (ti,) = _extension(ring, "t")
     t = big.gen(ti)
     one = big.one()
     gens = [t * f for f in _lift(I.groebner(GREVLEX), big, var_map)]
     gens += [(one - t) * g for g in _lift(J.groebner(GREVLEX), big, var_map)]
-    upstairs = eliminate(Ideal(big, gens), [ti])
-    return Ideal(ring, _restrict(upstairs.generators, ring))
+    return _restrict(eliminate(Ideal(big, gens), [ti]), ring)
+
+
+def _monomial_meet(a_gens, b_gens):
+    """Minimal generators of the meet of two monomial ideals: the pairwise
+    lcms, minimalized."""
+    return _monomial_min_gens([mono_lcm(a, b) for a in a_gens
+                               for b in b_gens])
 
 
 def intersect_all(ideals, ring=None):
-    """Intersection of a family; the empty family gives the unit ideal."""
+    """Intersection of a family; the empty family gives the unit ideal.
+    A family of two or more monomial ideals folds the lcms of their
+    exponent tuples and builds one ideal at the end."""
     ideals = list(ideals)
     if not ideals:
         if ring is None:
             raise ValueError("empty intersection needs an explicit ring")
         return Ideal(ring, [ring.one()])
+    if len(ideals) > 1 and all(J.is_monomial for J in ideals):
+        ring = ideals[0].ring
+        if any(J.ring != ring for J in ideals):
+            raise ValueError("ideals in different rings")
+        gens = ideals[0].monomial_generators()
+        for J in ideals[1:]:
+            gens = _monomial_meet(gens, J.monomial_generators())
+        return _monomial_ideal(ring, gens)
     out = ideals[0]
     for J in ideals[1:]:
         out = intersect(out, J)
@@ -491,8 +540,7 @@ def _colon_poly(I, g):
         gm = g.leading_monomial(GREVLEX)
         quotients = [mono_div(m, mono_gcd(m, gm))
                      for m in I.monomial_generators()]
-        return Ideal(ring, [ring.monomial(m)
-                            for m in _monomial_min_gens(quotients)])
+        return _monomial_ideal(ring, _monomial_min_gens(quotients))
     meet = intersect(I, Ideal(ring, [g]))
     return Ideal(ring, [exact_quotient(h, g) for h in meet.generators])
 
@@ -512,7 +560,7 @@ def _saturation(I, f):
     big, var_map, (zi,) = _extension(ring, "z")
     rel = big.one() - big.gen(zi) * f.map_to(big, var_map)
     up = Ideal(big, _lift(I.groebner(GREVLEX), big, var_map) + [rel])
-    return Ideal(ring, _restrict(eliminate(up, [zi]).generators, ring))
+    return _restrict(eliminate(up, [zi]), ring)
 
 
 def saturate(I, f):

@@ -283,6 +283,13 @@ _PAYLOADS = {
 }
 
 
+_EXPECTED = {"ideal": "expected an ideal name",
+             "matrix": "expected a matrix name",
+             "polynomial": "expected a polynomial string",
+             "ideal-or-polynomial":
+                 "expected an ideal name or a polynomial string"}
+
+
 def _arg(job, i, kind):
     """Command argument i resolved as kind: "ideal" or "matrix" (a name
     in the document), "polynomial", "ideal-or-polynomial" (a name if it
@@ -292,6 +299,8 @@ def _arg(job, i, kind):
         what = "" if kind == "ideal-or-polynomial" else f"{kind} "
         raise JobError(path, f"missing {what}argument")
     token = job.args[i]
+    if kind != "integer" and not isinstance(token, str):
+        raise JobError(path, _EXPECTED[kind])
     if kind in ("ideal", "matrix"):
         named = job.ideals if kind == "ideal" else job.matrices
         if token not in named:

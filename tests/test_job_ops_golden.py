@@ -98,6 +98,11 @@ CASES = {
     "non-integer-fitting-index": _matrix("fitting", ["M", "one"]),
     "unparsable-polynomial": _general("membership", ["I", "x^^2"]),
     "unparsable-poly-or-ideal": _general("saturate", ["I", "x*"]),
+    "non-string-ideal": _monomial("gdecomp", [["N"]]),
+    "non-string-matrix": _matrix("graded_check", [{"M": 1}]),
+    "non-string-polynomial": _general("membership", ["I", 3]),
+    "non-string-poly-or-ideal": _general("colon", ["I", [1]]),
+    "non-string-integer": _matrix("fitting", ["M", [1]]),
     "groebner-bad-order-and-missing-ideal":
         _general("groebner", [], options={"order": "deglex"}),
 }

@@ -415,3 +415,36 @@ def test_star_basis_and_verdict_match_the_references(case, cut):
         assert _first_escape(B, claim) == (escapes[0] if escapes else None)
         assert oracle_compare(I, graded, bound, star_ideal=claim) == \
             _oracle_reference(I, graded, bound, claim)
+
+
+# ---------------------------------------------------------------------------
+# The field characteristic divides a torsion modulus: the group scheme
+# mu_m is not reduced there, and the star must still agree with the
+# truncated-space oracle.
+
+_CHAR_DIVIDES_TORSION = [
+    (GF(2), 2, ["x - 1"]),
+    (GF(2), 2, ["x*y - 1", "y^2 - x"]),
+    (GF(2), 2, ["x^2*y", "x*y^3"]),
+    (GF(3), 3, ["x - 1"]),
+    (GF(3), 3, ["x^2 - y", "x*y - 1"]),
+    (GF(3), 3, ["x^3", "x*y^2", "y^4"]),
+    (GF(2), 4, ["x - 1"]),
+    (GF(2), 4, ["x^3 - y", "y^2 - 1"]),
+    (GF(2), 4, ["x^2*y^2", "y^3"]),
+]
+
+
+@pytest.mark.parametrize("field, modulus, gens", _CHAR_DIVIDES_TORSION)
+def test_oracle_passes_when_characteristic_divides_torsion(field, modulus,
+                                                           gens):
+    ring = PolynomialRing(field, ("x", "y"))
+    graded = GradedRing(ring, GradingGroup(0, (modulus,)),
+                        [((), (1,)), ((), (2 % modulus,))])
+    I = Ideal(ring, gens)
+    S = star(I, graded)
+    if gens == ["x - 1"]:
+        assert S == Ideal(ring, [f"x^{modulus} - 1"])
+    bound = max(g.total_degree() for g in S.canonical_generators()) + 2
+    verdict = oracle_compare(I, graded, bound, star_ideal=S)
+    assert verdict.passed, verdict
