@@ -20,7 +20,7 @@ N = Ideal(R, ["x^4", "x^3*y"])
 gdec = g_primary_decomposition(N, fine)
 print("N =", N)
 for c in gdec.components:
-    print(f"  {c.component}  with G-radical {c.g_radical}  [{c.status}]")
+    print(f"  {c.component}  with G-radical {c.radical}  [{c.status}]")
 print("G-radical of N:", g_radical(N, fine))
 print("G-associated primes:", [str(P) for P in g_associated_primes(N, fine)])
 print("G-minimal primes  :", [str(P) for P in g_minimal_primes(N, fine)])
@@ -50,7 +50,7 @@ except ValueError as exc:
 # Every G-associated prime is an honest colon N : (f).
 for i, c in enumerate(gdec.components):
     f = g_associated_witness(N, fine, gdec, i)
-    print(f"witness for {c.g_radical}: f = {f}, N : (f) = {colon(N, f)}")
+    print(f"witness for {c.radical}: f = {f}, N : (f) = {colon(N, f)}")
 
 # ---------------------------------------------------------------------
 # Torsion gradings make G-prime strictly weaker than prime.

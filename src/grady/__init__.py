@@ -1,7 +1,7 @@
 """Ideal calculus in polynomial rings graded by a finitely generated
 abelian group: the star operator (largest homogeneous subideal),
 G-primary decomposition, Fitting ideals, and an independent truncation
-oracle over prime fields.
+oracle.
 """
 
 from .poly import (GF, GREVLEX, LEX, PolyParseError, Polynomial,
@@ -20,15 +20,13 @@ from .decomposition import (Decomposition, PrimaryComponent,
                             monomial_dimension, monomial_primary_decomposition,
                             monomial_radical, radical_ideal,
                             univariate_primary_decomposition)
-from .gtheory import (GDecomposition, GPrimaryComponent,
-                      g_associated_primes, g_associated_witness,
+from .gtheory import (g_associated_primes, g_associated_witness,
                       g_minimal_primes, g_primary_decomposition, g_radical,
                       is_g_primary, is_g_prime, is_g_radical,
                       poset_component, verify_theorem_suite)
 from .fitting import (PresentationMatrix, fitting_ideal, graded_matrix_check,
                       map_entries)
 from .oracle import (OracleVerdict, Subspace, TruncatedSpace, oracle_compare,
-                     oracle_compare_rationals, truncated_ideal_basis,
                      truncated_star_basis)
 from .jobs import (Job, JobError, ResultDocument, execute_job, parse_job,
                    render_result, verify_document)

@@ -29,13 +29,13 @@ ASSUMED = "assumed"
 
 @dataclass(frozen=True)
 class PrimaryComponent:
+    """One component of a minimal decomposition and its radical: the
+    classical radical, or the G-radical (the star of the radical) in a
+    G-primary decomposition."""
+
     component: Ideal
     radical: Ideal
     status: str = VERIFIED
-
-    @property
-    def verified(self):
-        return self.status == VERIFIED
 
 
 def check_minimal(target, pairs):
@@ -66,6 +66,12 @@ class Decomposition:
     def intersection(self):
         return intersect_all([c.component for c in self.components],
                              self.target.ring)
+
+    def radical_index(self, P):
+        for i, c in enumerate(self.components):
+            if c.radical == P:
+                return i
+        raise ValueError("not a radical of this decomposition")
 
     def check(self):
         return check_minimal(self.target, [(c.component, c.radical)
@@ -449,12 +455,12 @@ def _rational_roots(s_coeffs):
     return sorted(roots)
 
 
-def univariate_primary_decomposition(I, require_verified=False):
+def univariate_primary_decomposition(I):
     """(f) = intersection of (p_i^{e_i}) over the irreducible factors.
 
     Prime fields factor completely, so every component is verified.
     Over Q a nonlinear squarefree residue survives as one assumed
-    component; with require_verified that raises UnsupportedClassError.
+    component.
     """
     ring = I.ring
     if ring.nvars != 1:
@@ -484,10 +490,6 @@ def univariate_primary_decomposition(I, require_verified=False):
                     VERIFIED))
                 remaining, _ = _divmod_uni(remaining, lin, field)
             if _deg(remaining) >= 1:
-                if require_verified:
-                    raise UnsupportedClassError(
-                        "nonlinear squarefree factor over Q cannot be "
-                        "certified irreducible")
                 base = _from_coeffs(ring, remaining)
                 components.append(PrimaryComponent(
                     Ideal(ring, [base ** mult]), Ideal(ring, [base]),

@@ -167,21 +167,17 @@ def star(I, graded):
         return _primed(ring, gens)
 
     # Already generated by homogeneous elements: the ideal is its own star.
-    split = [list(homogeneous_components(g, graded).values()) for g in gens]
-    mixed = [c for comps in split if len(comps) > 1 for c in comps]
-    if not mixed:
+    # Otherwise a component of an inhomogeneous reduced basis element
+    # that misses its lead has no term in the leading ideal, so it lies
+    # outside I: only the elimination below can find the star.
+    if all(is_homogeneous(g, graded) for g in gens):
         return _primed(ring, gens)
-    if all(I.contains(c) for c in mixed):
-        flat = [c for comps in split for c in comps]
-        return _primed(ring, Ideal(ring, flat).canonical_generators())
 
     r = graded.group.free_rank
     moduli = graded.group.torsion
     free_used = [j for j in range(r) if any(graded.weights[j])]
     tors_used = [k for k in range(len(moduli))
                  if any(graded.weights[r + k])]
-    if not free_used and not tors_used:
-        return _primed(ring, gens)
 
     taken = set(ring.variables)
     u_names = fresh_names("u", len(free_used), taken)

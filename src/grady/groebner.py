@@ -273,9 +273,11 @@ class Ideal:
 
     Equality and containment are extensional (Groebner-backed), so two
     ideals compare equal exactly when they contain the same elements.
+    Only the grevlex basis, which every query reads, is cached; a basis
+    in another order is computed on each call.
     """
 
-    __slots__ = ("ring", "generators", "_bases")
+    __slots__ = ("ring", "generators", "_grevlex")
 
     def __init__(self, ring, generators=()):
         gens = []
@@ -289,16 +291,17 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._bases = {}
+        self._grevlex = None
 
     def groebner(self, order=GREVLEX):
-        basis = self._bases.get(order)
-        if basis is None:
-            if not self.generators:
-                basis = GroebnerBasis(self.ring, order, (), ())
-            else:
-                basis = buchberger(list(self.generators), order)
-            self._bases[order] = basis
+        if order is GREVLEX and self._grevlex is not None:
+            return self._grevlex
+        if not self.generators:
+            basis = GroebnerBasis(self.ring, order, (), ())
+        else:
+            basis = buchberger(list(self.generators), order)
+        if order is GREVLEX:
+            self._grevlex = basis
         return basis
 
     def canonical_generators(self):
@@ -359,7 +362,7 @@ def _primed(ring, gens, leads=None):
     out = Ideal(ring, gens)
     if leads is None:
         leads = [g.leading_monomial(GREVLEX) for g in out.generators]
-    out._bases[GREVLEX] = _basis(ring, GREVLEX, out.generators, leads)
+    out._grevlex = _basis(ring, GREVLEX, out.generators, leads)
     return out
 
 

@@ -7,14 +7,14 @@ classical decompositions in the supported classes plus the star
 operator.  One minimal classical decomposition of the target answers
 every prime-list question; g_primary_decomposition also takes a
 caller-supplied one as a certificate, whose components' verified or
-assumed statuses carry over.
+assumed statuses carry over.  A G-primary decomposition is a
+`Decomposition` whose components' radicals are G-radicals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
+from .decomposition import (ASSUMED, VERIFIED, Decomposition,
+                            PrimaryComponent, UnsupportedClassError,
                             _decompose_for_primes, _inclusion_minimal,
                             _irredundant, _primes_of, associated_primes,
                             check_minimal, classical_decomposition,
@@ -32,33 +32,6 @@ def _canon_key(I):
 def _require_homogeneous(I, graded, what):
     if not is_g_ideal(I, graded):
         raise ValueError(f"{what} needs a homogeneous ideal")
-
-
-@dataclass(frozen=True)
-class GPrimaryComponent:
-    component: Ideal
-    g_radical: Ideal
-    status: str = VERIFIED
-
-
-@dataclass(frozen=True)
-class GDecomposition:
-    target: Ideal
-    components: tuple
-
-    def intersection(self):
-        return intersect_all([c.component for c in self.components],
-                             self.target.ring)
-
-    def radical_index(self, P):
-        for i, c in enumerate(self.components):
-            if c.g_radical == P:
-                return i
-        raise ValueError("not a G-radical of this decomposition")
-
-    def check(self):
-        return check_minimal(self.target, [(c.component, c.g_radical)
-                                           for c in self.components])
 
 
 def g_radical(I, graded):
@@ -133,9 +106,9 @@ def _g_decompose(N, star_of, dec):
     """
     starred = []
     for c in dec.components:
-        starred.append(GPrimaryComponent(star_of(c.component),
-                                         star_of(c.radical), c.status))
-    starred.sort(key=lambda g: (_canon_key(g.g_radical),
+        starred.append(PrimaryComponent(star_of(c.component),
+                                        star_of(c.radical), c.status))
+    starred.sort(key=lambda g: (_canon_key(g.radical),
                                 _canon_key(g.component)))
 
     survivors = _irredundant([g.component for g in starred], N)
@@ -144,20 +117,20 @@ def _g_decompose(N, star_of, dec):
     by_radical = []
     for g in kept:
         for slot in by_radical:
-            if slot[0] == g.g_radical:
+            if slot[0] == g.radical:
                 slot[1].append(g)
                 break
         else:
-            by_radical.append([g.g_radical, [g]])
+            by_radical.append([g.radical, [g]])
 
     components = []
     for P, group in by_radical:
         comp = intersect_all([g.component for g in group], N.ring)
         status = VERIFIED if all(g.status == VERIFIED for g in group) \
             else ASSUMED
-        components.append(GPrimaryComponent(comp, P, status))
-    components.sort(key=lambda g: _canon_key(g.g_radical))
-    return GDecomposition(N, tuple(components))
+        components.append(PrimaryComponent(comp, P, status))
+    components.sort(key=lambda g: _canon_key(g.radical))
+    return Decomposition(N, tuple(components))
 
 
 def _starred(primes, star_of):
@@ -180,7 +153,7 @@ def _g_ass(N, star_of, dec, gdec):
     out = _starred(_primes_of(dec), star_of)
     if gdec is None:
         gdec = _g_decompose(N, star_of, dec)
-    radicals = [c.g_radical for c in gdec.components]
+    radicals = [c.radical for c in gdec.components]
     if len(radicals) != len(out) or \
             any(not any(P == Q for Q in radicals) for P in out):
         assumed = [c.component for c in dec.components
@@ -239,11 +212,11 @@ def poset_component(gdec, omega):
         for j in range(len(comps)):
             if j in chosen:
                 continue
-            if comps[i].g_radical >= comps[j].g_radical:
+            if comps[i].radical >= comps[j].radical:
                 raise ValueError("omega is not downward closed")
 
     direct = intersect_all([comps[i].component for i in idx], ring)
-    J = intersect_all([c.g_radical for j, c in enumerate(comps)
+    J = intersect_all([c.radical for j, c in enumerate(comps)
                        if j not in chosen], ring)
     sat = saturate_ideal(gdec.target, J)
     if sat != direct:
@@ -267,7 +240,7 @@ def g_associated_witness(N, graded, gdec, index):
     components, gives f among the generators of P^(n-1) * M.
     """
     comps = gdec.components
-    P = comps[index].g_radical
+    P = comps[index].radical
     ring = N.ring
     others = [c.component for j, c in enumerate(comps) if j != index]
     M = intersect_all(others, ring)

@@ -32,7 +32,7 @@ from .groebner import (GREVLEX, GroebnerBasis, Ideal, colon, eliminate,
 from .gtheory import (g_associated_primes, g_minimal_primes,
                       g_primary_decomposition, g_radical, is_g_primary,
                       is_g_prime, is_g_radical, verify_theorem_suite)
-from .oracle import oracle_compare, oracle_compare_rationals
+from .oracle import oracle_compare
 from .poly import (GF, LEX, QQ, PolyParseError, PolynomialRing,
                    ResourceLimitError, parse_polynomial)
 
@@ -73,7 +73,7 @@ class Job:
 def _parse_field(text, path):
     if text == "Q":
         return QQ
-    m = re.fullmatch(r"F([0-9]+)", text or "")
+    m = isinstance(text, str) and re.fullmatch(r"F([0-9]+)", text)
     if not m:
         raise JobError(path, 'field must be "Q" or "F<p>"')
     try:
@@ -95,16 +95,21 @@ def _parse_grading(data, ring, path):
                       "a list of moduli")
     try:
         group = GradingGroup(free_rank, torsion)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise JobError(f"{path}.torsion", str(exc))
-    degrees = _expect(data.get("degrees", []), f"{path}.degrees", list,
-                      "a list with one degree per variable")
-    if len(degrees) != ring.nvars:
-        raise JobError(f"{path}.degrees",
-                       f"expected {ring.nvars} entries, got {len(degrees)}")
-    coerced = []
-    for i, entry in enumerate(degrees):
-        epath = f"{path}.degrees[{i}]"
+    degrees = _degrees(data.get("degrees", []), group, ring.nvars,
+                       f"{path}.degrees")
+    return GradedRing(ring, group, degrees)
+
+
+def _degrees(data, group, count, path):
+    """count degrees of group, each a [free, torsion] pair of lists."""
+    _expect(data, path, list, "a list of degrees")
+    if len(data) != count:
+        raise JobError(path, f"expected {count} degrees, got {len(data)}")
+    out = []
+    for i, entry in enumerate(data):
+        epath = f"{path}[{i}]"
         entry = _expect(entry, epath, list, "a [free, torsion] pair")
         if len(entry) != 2:
             raise JobError(epath, "expected a [free, torsion] pair")
@@ -112,10 +117,10 @@ def _parse_grading(data, ring, path):
         _expect(free, f"{epath}[0]", list, "a list of integers")
         _expect(tors, f"{epath}[1]", list, "a list of residues")
         try:
-            coerced.append(group.degree(free, tors))
+            out.append(group.degree(free, tors))
         except (TypeError, ValueError) as exc:
             raise JobError(epath, str(exc))
-    return GradedRing(ring, group, coerced)
+    return out
 
 
 def _parse_poly(text, ring, path):
@@ -127,9 +132,13 @@ def _parse_poly(text, ring, path):
         raise JobError(path, str(exc))
 
 
+def _no_constant(name):
+    raise JobError("$", f"invalid JSON: {name} is not a number")
+
+
 def parse_job(text):
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise JobError("$", f"invalid JSON: {exc}")
     _expect(data, "$", dict, "a JSON object")
@@ -185,25 +194,12 @@ def parse_job(text):
             grid.append([_parse_poly(entries[i * cols + j], ring,
                                      f"{mpath}.entries[{i * cols + j}]")
                          for j in range(cols)])
-        degs = {}
-        for side, count in (("row_degrees", rows), ("col_degrees", cols)):
-            raw = spec.get(side)
-            if raw is None:
-                degs[side] = None
-                continue
-            raw = _expect(raw, f"{mpath}.{side}", list, "a list of degrees")
-            if len(raw) != count:
-                raise JobError(f"{mpath}.{side}",
-                               f"expected {count} degrees, got {len(raw)}")
-            out = []
-            for i, entry in enumerate(raw):
-                try:
-                    out.append(graded.group.degree(entry[0], entry[1]))
-                except (TypeError, ValueError, IndexError) as exc:
-                    raise JobError(f"{mpath}.{side}[{i}]", str(exc))
-            degs[side] = out
-        matrices[name] = PresentationMatrix(ring, grid, degs["row_degrees"],
-                                            degs["col_degrees"])
+        row_degrees, col_degrees = (
+            None if spec.get(side) is None else
+            _degrees(spec[side], graded.group, count, f"{mpath}.{side}")
+            for side, count in (("row_degrees", rows), ("col_degrees", cols)))
+        matrices[name] = PresentationMatrix(ring, grid, row_degrees,
+                                            col_degrees)
 
     command = _expect(data.get("command"), "command", dict, "an object")
     _only_keys(command, "command", {"op", "args", "options"})
@@ -220,6 +216,8 @@ def parse_job(text):
     if bound is not None and (type(bound) is not int or bound < 0):
         raise JobError("command.options.degree_bound",
                        "expected a natural number")
+    if options.get("format", "json") not in ("json", "text"):
+        raise JobError("command.options.format", 'expected "json" or "text"')
     return Job(ring, graded, ideals, matrices, op, list(args), dict(options))
 
 
@@ -261,10 +259,9 @@ _RADICAL_KEY = {"decomp": "radical", "gdecomp": "g_radical"}
 
 
 def _decomposition_payload(dec, kind):
-    key = _RADICAL_KEY[kind]
     return {"minimal": True,
             "components": [{"component": _gens_list(c.component),
-                            key: _gens_list(getattr(c, key)),
+                            _RADICAL_KEY[kind]: _gens_list(c.radical),
                             "status": c.status}
                            for c in dec.components]}
 
@@ -343,15 +340,8 @@ def _eliminate(job, I):
 
 def _oracle_verdict(job, I):
     """Oracle comparison of I against its star, up to the job's
-    degree_bound (default: two above the star's top generator degree)."""
-    S = star(I, job.graded)
-    bound = job.options.get("degree_bound")
-    if bound is None:
-        gens = S.canonical_generators()
-        bound = max((g.total_degree() for g in gens), default=0) + 2
-    compare = oracle_compare_rationals if job.ring.field.characteristic == 0 \
-        else oracle_compare
-    return compare(I, job.graded, bound, star_ideal=S)
+    degree_bound (oracle_compare's default when absent)."""
+    return oracle_compare(I, job.graded, job.options.get("degree_bound"))
 
 
 def _graded(fn):

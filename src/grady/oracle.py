@@ -1,8 +1,11 @@
-"""Brute-force verification of star outputs over prime fields.
+"""Brute-force verification of star outputs.
 
 Works entirely inside the space of polynomials of total degree <= D with
 dense exact linear algebra mod p; no elimination machinery is involved,
-which is the point of the oracle.
+which is the point of the oracle.  `oracle_compare` takes either field:
+over Q it reduces the ideal and its rational star mod a few primes and
+labels its verdict heuristic.  Its default bound D is two above the
+star's top generator degree, the least bound that is not vacuous.
 
 - Normal forms.  The normal-form matrix of an ideal has one row per
   monomial of the space and one column per standard monomial of its
@@ -280,15 +283,6 @@ def _block_kernels(space, N, blocks):
     return Subspace.from_rref(space, matrix[order], pivots[order])
 
 
-def truncated_ideal_basis(I, degree_bound):
-    """Exact basis of {f in I : deg f <= D} as a Subspace."""
-    space = TruncatedSpace(I.ring, degree_bound)
-    if I.is_monomial:
-        return _monomial_basis(I, space)
-    N, _ = _normal_form_matrix(I.groebner(GREVLEX), space)
-    return _block_kernels(space, N, [np.arange(space.dimension)])
-
-
 def _homogeneous_blocks(graded, space):
     """Index arrays of the monomials of each degree, from one product
     with the grading's weight vectors."""
@@ -345,17 +339,14 @@ class OracleVerdict:
                 "witness": self.witness}
 
 
-def oracle_compare(I, graded, degree_bound, star_ideal=None):
-    """Differential check of the star computation at one degree bound.
+def _top_degree(gens):
+    return max((g.total_degree() for g in gens), default=0)
 
-    star_ideal overrides the computed star; that is how mutation tests
-    inject corrupted outputs.  The bound must leave two degrees of
-    headroom above the star's generators, otherwise the comparison is
-    vacuous and the verdict says so instead of passing.
-    """
-    S = star(I, graded) if star_ideal is None else star_ideal
+
+def _compare_mod_p(I, graded, degree_bound, S):
+    """oracle_compare over a prime field against the claimed star S."""
     gens = S.canonical_generators()
-    maxdeg = max((g.total_degree() for g in gens), default=0)
+    maxdeg = _top_degree(gens)
     if degree_bound < maxdeg + 2:
         return OracleVerdict(
             "error",
@@ -380,14 +371,17 @@ def oracle_compare(I, graded, degree_bound, star_ideal=None):
         f"{B.dimension}")
 
 
+# Primes a rational ideal is reduced by.
+_RATIONAL_PRIMES = (5, 7, 11)
+
+
 class BadPrimeError(Exception):
     """Reduction mod p degenerates (a denominator or content vanishes)."""
 
 
-def reduce_ideal_mod(I, p, graded=None):
+def reduce_ideal_mod(I, p):
     """Image of a rational ideal in F_p with the same variables."""
-    ring = I.ring
-    modular = PolynomialRing(GF(p), ring.variables)
+    modular = PolynomialRing(GF(p), I.ring.variables)
     gens = []
     for g in I.generators:
         den = math.lcm(*(c.denominator for c in g.terms.values()))
@@ -401,29 +395,37 @@ def reduce_ideal_mod(I, p, graded=None):
         if not terms:
             raise BadPrimeError(f"generator vanishes mod {p}")
         gens.append(Polynomial(modular, terms))
-    J = Ideal(modular, gens)
-    if graded is None:
-        return J
-    return J, GradedRing(modular, graded.group, graded.degrees)
+    return Ideal(modular, gens)
 
 
-def oracle_compare_rationals(I, graded, degree_bound, primes=(5, 7, 11),
-                             star_ideal=None):
-    """Heuristic rational-coefficient variant: reduce mod several primes
-    and demand agreement at each; labeled heuristic in the verdict."""
-    if I.ring.field.characteristic != 0:
-        raise ValueError("rational oracle expects characteristic 0")
+def oracle_compare(I, graded, degree_bound=None, star_ideal=None):
+    """Differential check of the star computation at one degree bound.
+
+    star_ideal overrides the computed star; that is how mutation tests
+    inject corrupted outputs.  The bound must leave two degrees of
+    headroom above the star's generators, otherwise the comparison is
+    vacuous and the verdict says so instead of passing; a missing bound
+    is exactly that headroom.
+
+    Over Q the check is a heuristic, labeled so in the verdict: I and
+    its rational star are reduced mod each of _RATIONAL_PRIMES whose
+    reduction does not degenerate, and every such prime must agree.
+    """
+    S = star(I, graded) if star_ideal is None else star_ideal
+    if degree_bound is None:
+        degree_bound = _top_degree(S.canonical_generators()) + 2
+    if I.ring.field.characteristic:
+        return _compare_mod_p(I, graded, degree_bound, S)
     used = []
-    for p in primes:
+    for p in _RATIONAL_PRIMES:
         try:
-            Ip, Rp = reduce_ideal_mod(I, p, graded)
-            Sp = None
-            if star_ideal is not None:
-                Sp = reduce_ideal_mod(star_ideal, p)
+            Ip, Sp = reduce_ideal_mod(I, p), reduce_ideal_mod(S, p)
         except BadPrimeError:
             continue
-        verdict = oracle_compare(Ip, Rp, degree_bound, star_ideal=Sp)
-        if verdict.status != "pass":
+        verdict = _compare_mod_p(
+            Ip, GradedRing(Ip.ring, graded.group, graded.degrees),
+            degree_bound, Sp)
+        if not verdict.passed:
             return OracleVerdict(verdict.status,
                                  f"heuristic mod {p}: {verdict.reason}",
                                  verdict.witness)

@@ -171,25 +171,10 @@ class TermOrder:
         self.key = lambda m: tuple(map(neg, desc(m)))
 
     @staticmethod
-    def grevlex():
-        return TermOrder("grevlex")
-
-    @staticmethod
-    def lex():
-        return TermOrder("lex")
-
-    @staticmethod
     def elimination(indices):
         """Block order making every monomial in the indexed variables larger
         than every monomial free of them; grevlex inside each block."""
         return TermOrder("elimination", frozenset(indices))
-
-    def __eq__(self, other):
-        return (isinstance(other, TermOrder) and other.kind == self.kind
-                and other.eliminated == self.eliminated)
-
-    def __hash__(self):
-        return hash((self.kind, self.eliminated))
 
     def __repr__(self):
         if self.kind == "elimination":
@@ -197,8 +182,8 @@ class TermOrder:
         return f"TermOrder({self.kind})"
 
 
-GREVLEX = TermOrder.grevlex()
-LEX = TermOrder.lex()
+GREVLEX = TermOrder("grevlex")
+LEX = TermOrder("lex")
 
 
 class PolynomialRing:

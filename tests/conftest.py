@@ -37,3 +37,8 @@ def line_with_torsion(field, modulus, residue=1):
     graded = GradedRing(ring, GradingGroup(0, (modulus,)),
                         [((), (residue,))])
     return ring, graded
+
+
+def ungraded(ring):
+    """ring under the trivial grading: every polynomial is homogeneous."""
+    return GradedRing(ring, GradingGroup(0, ()), [((), ())] * ring.nvars)

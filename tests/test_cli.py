@@ -51,6 +51,17 @@ def test_format_option_in_job_document(tmp_path, capsys):
     assert code == 0 and out.strip().startswith("(x^4")
 
 
+@pytest.mark.parametrize("cmd", ["run", "verify"])
+def test_unknown_format_option_is_an_input_error(tmp_path, capsys, cmd):
+    doc = json.loads(json.dumps(STAR_JOB))
+    doc["command"]["options"]["format"] = "xml"
+    code = cli.main([cmd, _write_job(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out)["payload"]["detail"].startswith(
+        "command.options.format:")
+
+
 def test_run_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(STAR_JOB)))
     code = cli.main(["run", "-"])

@@ -8,6 +8,7 @@ from grady.grading import (GradedRing, GradingGroup, Hdeg, degree_of,
                            homogeneous_components, is_g_ideal, is_homogeneous,
                            star)
 from grady.groebner import Ideal, colon, intersect
+from grady.oracle import oracle_compare
 from grady.poly import GF, QQ, PolynomialRing, parse_polynomial
 
 from conftest import line_with_torsion
@@ -90,6 +91,15 @@ def test_star_with_mixed_grading(Rxy):
     J = Ideal(Rxy, ["x - y"])
     S = star(J, graded)
     assert S == Ideal(Rxy, ["x^2 - y^2"])   # forced to even torsion degree
+
+
+def test_star_splits_generators_whose_components_lie_in_the_ideal(
+        Rxy, fine_xy):
+    # x and y, the components of both generators, lie in (x+y, x-y); its
+    # reduced basis is (x, y) itself, so the star needs no elimination.
+    I = Ideal(Rxy, ["x + y", "x - y"])
+    assert star(I, fine_xy) == Ideal(Rxy, ["x", "y"])
+    assert oracle_compare(I, fine_xy).passed
 
 
 def test_star_of_unit_and_zero(Rxy, fine_xy):

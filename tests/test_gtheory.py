@@ -12,8 +12,7 @@ from grady.decomposition import (Decomposition, PrimaryComponent,
 from grady.grading import GradedRing, GradingGroup, star
 from grady.groebner import (Ideal, colon, ideal_power, ideal_product,
                             intersect)
-from grady.gtheory import (GDecomposition, GPrimaryComponent,
-                           g_associated_primes, g_associated_witness,
+from grady.gtheory import (g_associated_primes, g_associated_witness,
                            g_minimal_primes, g_primary_decomposition,
                            g_radical, is_g_primary, is_g_prime,
                            is_g_radical, poset_component,
@@ -70,7 +69,7 @@ def test_g_primary_decomposition_of_headline(Rxy, fine_xy):
     gdec = g_primary_decomposition(N, fine_xy)
     assert [[str(g) for g in c.component.canonical_generators()]
             for c in gdec.components] == [["x^3"], ["x^4", "y"]]
-    assert [[str(g) for g in c.g_radical.canonical_generators()]
+    assert [[str(g) for g in c.radical.canonical_generators()]
             for c in gdec.components] == [["x"], ["x", "y"]]
     assert gdec.check()
     assert gdec.intersection() == N
@@ -127,7 +126,7 @@ def test_g_associated_witness(Rxy, fine_xy):
     for i, c in enumerate(gdec.components):
         f = g_associated_witness(N, fine_xy, gdec, i)
         assert not f.is_zero
-        assert colon(N, f) == c.g_radical
+        assert colon(N, f) == c.radical
 
 
 def test_g_associated_witness_of_a_high_power(Rxy, fine_xy, monkeypatch):
@@ -135,7 +134,7 @@ def test_g_associated_witness_of_a_high_power(Rxy, fine_xy, monkeypatch):
     keep the powers at n + 1 generators instead of 2^n."""
     N = Ideal(Rxy, ["x^70", "x*y"])
     gdec = g_primary_decomposition(N, fine_xy)
-    index = [str(c.g_radical) for c in gdec.components].index("Ideal(x, y)")
+    index = [str(c.radical) for c in gdec.components].index("Ideal(x, y)")
     start = time.perf_counter()
     f = g_associated_witness(N, fine_xy, gdec, index)
     assert time.perf_counter() - start < 0.5
@@ -204,9 +203,8 @@ _BROKEN = {
 
 
 @pytest.mark.parametrize("mode", sorted(_BROKEN))
-@pytest.mark.parametrize("cls, part", [(Decomposition, PrimaryComponent),
-                                       (GDecomposition, GPrimaryComponent)],
-                         ids=["classical", "graded"])
+@pytest.mark.parametrize("cls, part", [(Decomposition, PrimaryComponent)],
+                         ids=["classical"])
 def test_check_detects_each_failure_mode(Rxy, cls, part, mode):
     target, pairs, message = _BROKEN[mode]
     bad = cls(Ideal(Rxy, target), tuple(part(Ideal(Rxy, q), Ideal(Rxy, r))
@@ -292,7 +290,7 @@ def test_verified_mismatch_stays_an_internal_error():
     dec = classical_decomposition(N)
     star_of = gtheory._star_memo(fine)
     gdec = gtheory._g_decompose(N, star_of, dec)
-    short = GDecomposition(N, gdec.components[1:])
+    short = Decomposition(N, gdec.components[1:])
     with pytest.raises(AssertionError, match="disagree"):
         gtheory._g_ass(N, star_of, dec, short)
 

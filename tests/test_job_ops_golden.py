@@ -80,6 +80,8 @@ CASES = {
     "graded_check": _matrix("graded_check", ["M"]),
     "theorems": _monomial("theorems"),
     "oracle": _torsion("oracle", ["I"], {"degree_bound": 4}),
+    "oracle-over-q": {**_torsion("oracle"),
+                      "ring": {"field": "Q", "vars": ["x"]}},
     # Second shapes of ops whose payload depends on the argument kind.
     "colon-by-poly": _general("colon", ["I", "y"]),
     "saturate-by-ideal": _general("saturate", ["I", "J"]),

@@ -69,6 +69,22 @@ def test_torsion_residues_reduce():
     (lambda d: d["ideals"].__setitem__("bad", ["x +* y"]), "ideals.bad[0]"),
     (lambda d: d["command"]["options"].__setitem__("split", "first"),
      "command.options.split"),
+    # Well-formed JSON that once escaped as a traceback.
+    pytest.param(lambda d: d["ring"].__setitem__("field", 5), "ring.field",
+                 id="field-number"),
+    pytest.param(lambda d: d["ring"].__setitem__("field", ["F5"]),
+                 "ring.field", id="field-list"),
+    pytest.param(lambda d: d["grading"].__setitem__("torsion", [[2]]),
+                 "grading.torsion", id="torsion-list"),
+    pytest.param(lambda d: d["grading"].__setitem__("torsion", [None]),
+                 "grading.torsion", id="torsion-null"),
+    pytest.param(lambda d: d.__setitem__("matrices", {"M": {
+        "rows": 1, "cols": 1, "entries": ["x"],
+        "row_degrees": [{"free": [1]}]}}), "matrices.M.row_degrees[0]",
+        id="matrix-degree-object"),
+    pytest.param(
+        lambda d: d["command"]["options"].__setitem__("format", "xml"),
+        "command.options.format", id="format-xml"),
 ])
 def test_schema_errors_carry_paths(mutate, path_fragment):
     doc = json.loads(_job())

@@ -13,12 +13,11 @@ from grady.groebner import Ideal
 from grady.oracle import (BadPrimeError, OracleVerdict, ResourceLimitError,
                           Subspace, TruncatedSpace, _first_escape, _kernel,
                           _matmul_mod, _normal_form_matrix, _rref,
-                          monomials_up_to, oracle_compare,
-                          oracle_compare_rationals, reduce_ideal_mod,
-                          truncated_ideal_basis, truncated_star_basis)
+                          monomials_up_to, oracle_compare, reduce_ideal_mod,
+                          truncated_star_basis)
 from grady.poly import GF, QQ, Polynomial, PolynomialRing, parse_polynomial
 
-from conftest import line_with_torsion
+from conftest import line_with_torsion, ungraded
 
 
 def test_monomials_up_to():
@@ -44,18 +43,19 @@ def test_truncated_space_rejects_rationals():
 
 def test_truncated_ideal_basis_monomial():
     ring = PolynomialRing(GF(5), ("x",))
-    B = truncated_ideal_basis(Ideal(ring, ["x"]), 3)
+    flat = ungraded(ring)
+    B = truncated_star_basis(Ideal(ring, ["x"]), flat, 3)
     assert B.dimension == 3     # x, x^2, x^3
     assert B.contains(parse_polynomial("2*x^3 + x", ring))
     assert not B.contains(ring.one())
-    assert truncated_ideal_basis(Ideal(ring), 3).dimension == 0
-    assert truncated_ideal_basis(Ideal(ring, ["1"]), 3).dimension == 4
+    assert truncated_star_basis(Ideal(ring), flat, 3).dimension == 0
+    assert truncated_star_basis(Ideal(ring, ["1"]), flat, 3).dimension == 4
 
 
 def test_truncated_ideal_basis_general():
     ring = PolynomialRing(GF(5), ("x", "y"))
     I = Ideal(ring, ["x - y"])
-    B = truncated_ideal_basis(I, 2)
+    B = truncated_star_basis(I, ungraded(ring), 2)
     # inside degree 2: (x-y), x(x-y), y(x-y)
     assert B.dimension == 3
     assert B.contains(parse_polynomial("x^2 - x*y", ring))
@@ -88,7 +88,7 @@ def test_star_space_matches_star_ideal_truncation():
         ring, graded = line_with_torsion(GF(5), modulus)
         I = Ideal(ring, gens)
         left = truncated_star_basis(I, graded, 6)
-        right = truncated_ideal_basis(star(I, graded), 6)
+        right = truncated_star_basis(star(I, graded), ungraded(ring), 6)
         assert np.array_equal(left.matrix, right.matrix)
 
 
@@ -130,9 +130,34 @@ def test_reduce_ideal_mod():
 
 def test_oracle_over_rationals_is_heuristic():
     ring, graded = line_with_torsion(QQ, 2)
-    v = oracle_compare_rationals(Ideal(ring, ["x - 1"]), graded, 6)
+    v = oracle_compare(Ideal(ring, ["x - 1"]), graded, 6)
     assert v.passed
     assert "mod 5, 7, 11" in v.reason
+
+
+@pytest.mark.parametrize("gens, reason", [
+    (["x - 1/5"], "heuristic: agreement mod 7, 11"),      # denominator
+    (["5*x - 5"], "heuristic: agreement mod 7, 11"),      # generator
+])
+def test_rational_oracle_skips_a_bad_prime(gens, reason):
+    ring, graded = line_with_torsion(QQ, 2)
+    v = oracle_compare(Ideal(ring, gens), graded, 6)
+    assert (v.status, v.reason) == ("pass", reason)
+
+
+def test_rational_oracle_reports_the_failing_prime():
+    ring, graded = line_with_torsion(QQ, 2)
+    v = oracle_compare(Ideal(ring, ["x - 1"]), graded, 6,
+                       star_ideal=Ideal(ring, ["x^4 - 1"]))
+    assert v == OracleVerdict(
+        "fail", "heuristic mod 5: truncated star vector escapes the "
+        "computed star", "4*x^6 + 1")
+
+
+def test_rational_oracle_without_a_usable_prime():
+    ring, graded = line_with_torsion(QQ, 2)
+    v = oracle_compare(Ideal(ring, ["x - 1/385"]), graded, 6)
+    assert v == OracleVerdict("error", "no usable prime for reduction")
 
 
 def test_oracle_monomial_fast_path():

@@ -11,6 +11,37 @@ from grady.poly import (GF, GREVLEX, LEX, QQ, PolyParseError, PolynomialRing,
                         mono_mul, parse_polynomial)
 
 
+def _accepts(n):
+    try:
+        GF(n)
+    except ValueError:
+        return False
+    return True
+
+
+def test_field_accepts_exactly_the_primes():
+    sieve = [True] * 20001
+    sieve[0] = sieve[1] = False
+    for i in range(2, 142):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(2, 20001) if _accepts(n)] == \
+        [n for n in range(2, 20001) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321,
+                               46337 ** 2])
+def test_field_rejects_strong_pseudoprimes(n):
+    # Strong pseudoprimes to base 2, which only the later Miller-Rabin
+    # bases expose, and the square of a prime near the square root of
+    # 2**31, with no factor the trial divisions see.
+    assert not _accepts(n)
+
+
+def test_field_accepts_the_largest_allowed_prime():
+    assert GF(2 ** 31 - 1).characteristic == 2147483647
+
+
 def test_field_constructors():
     assert QQ.characteristic == 0
     assert GF(5).characteristic == 5
