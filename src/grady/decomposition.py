@@ -13,9 +13,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .groebner import (GREVLEX, Ideal, _monomial_ideal, _monomial_min_gens,
-                       _primed, intersect_all)
+from .groebner import (GREVLEX, Ideal, _monomial_ideal, _monomial_meet,
+                       _monomial_min_gens, _monomial_radical, intersect,
+                       intersect_all)
 from .poly import Polynomial, ResourceLimitError
 
 
@@ -47,15 +49,32 @@ def check_minimal(target, pairs):
     if intersect_all(comps, target.ring) != target:
         raise AssertionError("components do not intersect to the target")
     rads = [r for _, r in pairs]
-    for i in range(len(rads)):
-        for j in range(i + 1, len(rads)):
-            if rads[i] == rads[j]:
-                raise AssertionError("radicals not pairwise distinct")
-    for i in range(len(comps)):
-        rest = comps[:i] + comps[i + 1:]
-        if rest and intersect_all(rest, target.ring) == target:
-            raise AssertionError("a component is redundant")
+    if any(rads[i] == rads[j] for j in range(len(rads)) for i in range(j)):
+        raise AssertionError("radicals not pairwise distinct")
+    # the drop-one pass keeps all when none is redundant beside the rest
+    if len(_irredundant(*_meet_view(comps, target))) < len(comps):
+        raise AssertionError("a component is redundant")
     return True
+
+
+def _meet_view(ideals, target):
+    """(parts, target, meet) for _irredundant: exponent tuples under the
+    monomial meet when all are monomial, else the ideals under intersect."""
+    if target.is_monomial and all(J.is_monomial for J in ideals):
+        return ([J.monomial_generators() for J in ideals],
+                target.monomial_generators(), _monomial_meet)
+    return list(ideals), target, intersect
+
+
+def _irredundant(parts, target, meet):
+    """Indices of the parts a greedy drop-one pass in list order keeps: a
+    part goes when meet folded over the other kept parts gives target."""
+    kept = list(range(len(parts)))
+    for i in range(len(parts)):
+        trial = [j for j in kept if j != i]
+        if trial and reduce(meet, [parts[j] for j in trial]) == target:
+            kept = trial
+    return kept
 
 
 @dataclass(frozen=True)
@@ -79,22 +98,17 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# Monomial ideals.  All computations below are combinatorics on the minimal
-# generating exponent tuples.
+# Monomial ideals.  Splitting, merging by radical and pruning run on the
+# minimal exponent tuples with the kernel in groebner; an Ideal is built
+# only for a published component, radical or prime.
 
 def _support(m):
     return tuple(i for i, e in enumerate(m) if e)
 
 
-def _variable_ideal(ring, indices):
-    return _primed(ring, [ring.gen(i) for i in sorted(indices)])
-
-
 def monomial_radical(I):
     """Squarefree parts of the minimal generators, minimalized."""
-    gens = I.monomial_generators()
-    squarefree = [tuple(1 if e else 0 for e in m) for m in gens]
-    return _monomial_ideal(I.ring, sorted(_monomial_min_gens(squarefree)))
+    return _monomial_ideal(I.ring, _monomial_radical(I.monomial_generators()))
 
 
 def _irreducible_split(gens, split):
@@ -108,42 +122,26 @@ def _irreducible_split(gens, split):
     (equally valid) primary decompositions after the radical merge.
     """
     out = []
-    seen = set()
-    stack = [tuple(sorted(_monomial_min_gens(gens)))]
+    stack = [_monomial_min_gens(gens)]
     visited = set()
     while stack:
         current = stack.pop()
         if current in visited:
             continue
         visited.add(current)
-        mixed = [m for m in current if len(_support(m)) >= 2]
+        mixed = [m for m in current if m.count(0) < len(m) - 1]
         if not mixed:
-            if current not in seen:
-                seen.add(current)
-                out.append(list(current))
+            out.append(current)
             continue
-        m = mixed[0] if split == "first" else mixed[-1]
+        m = min(mixed) if split == "first" else max(mixed)
         sup = _support(m)
         v = sup[0] if split == "first" else sup[-1]
         u_part = tuple(e if i == v else 0 for i, e in enumerate(m))
         v_part = tuple(0 if i == v else e for i, e in enumerate(m))
         rest = [g for g in current if g != m]
-        stack.append(tuple(sorted(_monomial_min_gens(rest + [u_part]))))
-        stack.append(tuple(sorted(_monomial_min_gens(rest + [v_part]))))
-    return sorted(out)
-
-
-def _irredundant(ideals, target):
-    """Greedy drop-one pass in list order; the survivors are irredundant."""
-    kept = list(ideals)
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1:]
-        if trial and intersect_all(trial, target.ring) == target:
-            kept = trial
-        else:
-            i += 1
-    return kept
+        stack.append(_monomial_min_gens(rest + [u_part]))
+        stack.append(_monomial_min_gens(rest + [v_part]))
+    return out
 
 
 def monomial_primary_decomposition(I, split="first"):
@@ -158,28 +156,17 @@ def monomial_primary_decomposition(I, split="first"):
         raise ValueError("unit ideal has no primary decomposition")
     ring = I.ring
     gens = I.monomial_generators()
-    if not gens:
-        zero = Ideal(ring)
-        return Decomposition(I, (PrimaryComponent(zero, zero, VERIFIED),))
-
-    groups = {}
+    groups = {}         # the zero ideal splits to one empty component
     for comp in _irreducible_split(gens, split):
-        sup = frozenset(i for m in comp for i in _support(m))
-        groups.setdefault(tuple(sorted(sup)), []).append(comp)
+        sup = tuple(sorted({i for m in comp for i in _support(m)}))
+        groups.setdefault(sup, []).append(comp)
 
-    merged = []
-    for sup in sorted(groups):
-        members = [_monomial_ideal(ring, comp) for comp in groups[sup]]
-        merged.append((sup, intersect_all(members, ring)))
-
-    merged.sort(key=lambda t: (len(t[0]), t[0]))
-    survivors = _irredundant([q for _, q in merged], I)
-    components = []
-    for sup, q in merged:
-        if any(q is s for s in survivors):
-            components.append(
-                PrimaryComponent(q, _variable_ideal(ring, sup), VERIFIED))
-    return Decomposition(I, tuple(components))
+    merged = [reduce(_monomial_meet, groups[sup])
+              for sup in sorted(groups, key=lambda sup: (len(sup), sup))]
+    kept = [merged[i] for i in _irredundant(merged, gens, _monomial_meet)]
+    return Decomposition(I, tuple(PrimaryComponent(
+        _monomial_ideal(ring, q), _monomial_ideal(ring, _monomial_radical(q)),
+        VERIFIED) for q in kept))
 
 
 def monomial_dimension(I):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .groebner import Ideal, _primed, _restrict, eliminate
+from .groebner import Ideal, _monomial_ideal, _primed, _restrict, eliminate
 from .poly import GREVLEX, Polynomial, fresh_names
 
 
@@ -26,6 +26,15 @@ class Hdeg(NamedTuple):
         return f"[{list(self.free)}, {list(self.torsion)}]"
 
 
+def _integers(values, what):
+    """values as a tuple of ints; a float, string or bool is refused rather
+    than truncated or parsed."""
+    values = tuple(values)
+    if not all(type(a) is int for a in values):
+        raise TypeError(f"{what} must be integers")
+    return values
+
+
 class GradingGroup:
     """Z^free_rank plus cyclic factors of the given moduli (each >= 2)."""
 
@@ -34,7 +43,7 @@ class GradingGroup:
     def __init__(self, free_rank=0, torsion=()):
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        moduli = tuple(int(m) for m in torsion)
+        moduli = _integers(torsion, "torsion moduli")
         if any(m < 2 for m in moduli):
             raise ValueError("torsion moduli must be >= 2")
         self.free_rank = free_rank
@@ -45,8 +54,8 @@ class GradingGroup:
         return self.free_rank == 0 and not self.torsion
 
     def degree(self, free=(), torsion=()):
-        free = tuple(int(a) for a in free)
-        tors = tuple(int(b) for b in torsion)
+        free = _integers(free, "degrees")
+        tors = _integers(torsion, "degrees")
         if len(free) != self.free_rank or len(tors) != len(self.torsion):
             raise ValueError("degree has wrong shape for this group")
         return Hdeg(free, tuple(b % m for b, m in zip(tors, self.torsion)))
@@ -161,9 +170,11 @@ def star(I, graded):
         raise ValueError("ideal and grading live on different rings")
     if I.is_zero:
         return Ideal(ring)
-    gens = I.canonical_generators()
     # Monomials are homogeneous: a monomial ideal is its own star.
-    if graded.group.is_trivial or I.is_monomial:
+    if I.is_monomial:
+        return _monomial_ideal(ring, I.monomial_generators())
+    gens = I.canonical_generators()
+    if graded.group.is_trivial:
         return _primed(ring, gens)
 
     # Already generated by homogeneous elements: the ideal is its own star.

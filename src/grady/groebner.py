@@ -15,10 +15,11 @@ output bytes.
 
 Published bases: a result whose reduced monic grevlex basis is already at
 hand carries it (_primed), so Buchberger never rebuilds it.  Monomial
-results (intersect, intersect_all and colon on monomials, and the
-radicals, variable ideals and merged components of decomposition) are
-primed from their minimal exponent tuples, which with coefficient one
-are a reduced monic basis.  eliminate primes the slice of its reduced
+ideals stay exponent tuples, their minimal generators ascending in
+grevlex, while the kernel at the end of this module works on them;
+decomposition and gtheory fold and compare such tuples too, and build
+an Ideal (_monomial_ideal, primed from the tuples) only for a result
+they publish.  eliminate primes the slice of its reduced
 elimination basis free of the eliminated variables: the block order is
 grevlex there and the whole basis is reduced, so the slice is the
 reduced grevlex basis of the elimination ideal; _restrict carries it to
@@ -28,11 +29,12 @@ changes the order of an ideal's generators.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from operator import add, itemgetter, le, sub
 
 from .poly import (GREVLEX, Polynomial, ResourceLimitError, TermOrder,
-                   fresh_names, mono_div, mono_divides, mono_gcd, mono_lcm,
+                   fresh_names, mono_div, mono_divides, mono_lcm,
                    mono_mul)
 
 
@@ -135,16 +137,6 @@ def _spoly_terms(lcm, lm_f, f_terms, lm_g, g_terms, field):
         else:
             out.pop(mm, None)
     return out
-
-
-def _monomial_min_gens(monomials):
-    """Minimal generating set of a monomial ideal, as exponent tuples."""
-    ordered = sorted(set(monomials), key=lambda m: (sum(m), m))
-    kept = []
-    for m in ordered:
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    return kept
 
 
 def buchberger(generators, order):
@@ -322,28 +314,33 @@ class Ideal:
 
     @property
     def is_monomial(self):
-        return all(g.is_monomial for g in self.groebner(GREVLEX))
+        return all(len(g.terms) == 1 for g in self.groebner(GREVLEX).elements)
 
     def monomial_generators(self):
-        """Minimal generating exponent tuples; only for monomial ideals."""
+        """Minimal generating exponent tuples, ascending in grevlex (the
+        form of the monomial kernel below); only for monomial ideals."""
         if not self.is_monomial:
             raise ValueError("not a monomial ideal")
-        return list(self.groebner(GREVLEX).leads)
+        return self.groebner(GREVLEX).leads
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
         if self.ring != other.ring:
             return False
-        return self.groebner(GREVLEX).elements == \
-            other.groebner(GREVLEX).elements
+        a, b = self.groebner(GREVLEX), other.groebner(GREVLEX)
+        return a.leads == b.leads and a.elements == b.elements
 
     __hash__ = None
 
     def __le__(self, other):
-        """self is a subset of other."""
+        """self is a subset of other.  Into a monomial ideal by
+        divisibility: a polynomial lies in it when every term does."""
         if self.ring != other.ring:
             raise ValueError("ideals in different rings")
+        if other.is_monomial:
+            return _monomial_le([m for g in self.generators for m in g.terms],
+                                other.monomial_generators())
         gb = other.groebner(GREVLEX)
         return all(gb.contains(g) for g in self.generators)
 
@@ -355,20 +352,21 @@ class Ideal:
         return f"Ideal({gens})" if gens else "Ideal(0)"
 
 
-def _primed(ring, gens, leads=None):
+def _primed(ring, gens):
     """Ideal generated by gens, in this order, which already form its
-    reduced monic grevlex basis (leads: their grevlex leading monomials,
-    when the caller has them); the basis is stored, not recomputed."""
+    reduced monic grevlex basis; the basis is stored, not recomputed."""
     out = Ideal(ring, gens)
-    if leads is None:
-        leads = [g.leading_monomial(GREVLEX) for g in out.generators]
+    leads = [g.leading_monomial(GREVLEX) for g in out.generators]
     out._grevlex = _basis(ring, GREVLEX, out.generators, leads)
     return out
 
 
 def _monomial_ideal(ring, exps):
-    """Ideal of the distinct minimal monomials exps, in this order."""
-    return _primed(ring, [ring.monomial(m) for m in exps], exps)
+    """Ideal published from a result exps of the monomial kernel below:
+    with coefficient one they are its reduced grevlex basis, in order."""
+    out = Ideal(ring, [ring.monomial(m) for m in exps])
+    out._grevlex = GroebnerBasis(ring, GREVLEX, out.generators, exps)
+    return out
 
 
 def ideal_sum(I, *rest):
@@ -381,8 +379,12 @@ def ideal_sum(I, *rest):
 
 
 def ideal_product(I, J):
+    """I * J; monomial generators multiply as exponent tuples."""
     if I.ring != J.ring:
         raise ValueError("ideals in different rings")
+    if all(len(g.terms) == 1 for g in I.generators + J.generators):
+        return _monomial_ideal(I.ring, _monomial_product(
+            *([next(iter(g.terms)) for g in K.generators] for K in (I, J))))
     gens = [f * g for f in I.generators for g in J.generators]
     return Ideal(I.ring, gens)
 
@@ -441,8 +443,7 @@ def intersect(I, J):
     if I.is_zero or J.is_zero:
         return Ideal(ring)
     if I.is_monomial and J.is_monomial:
-        return _monomial_ideal(ring, _monomial_meet(
-            I.monomial_generators(), J.monomial_generators()))
+        return intersect_all([I, J])
     big, var_map, (ti,) = _extension(ring, "t")
     t = big.gen(ti)
     one = big.one()
@@ -451,16 +452,9 @@ def intersect(I, J):
     return _restrict(eliminate(Ideal(big, gens), [ti]), ring)
 
 
-def _monomial_meet(a_gens, b_gens):
-    """Minimal generators of the meet of two monomial ideals: the pairwise
-    lcms, minimalized."""
-    return _monomial_min_gens([mono_lcm(a, b) for a in a_gens
-                               for b in b_gens])
-
-
 def intersect_all(ideals, ring=None):
     """Intersection of a family; the empty family gives the unit ideal.
-    A family of two or more monomial ideals folds the lcms of their
+    A family of two or more monomial ideals folds the meet of their
     exponent tuples and builds one ideal at the end."""
     ideals = list(ideals)
     if not ideals:
@@ -468,13 +462,10 @@ def intersect_all(ideals, ring=None):
             raise ValueError("empty intersection needs an explicit ring")
         return Ideal(ring, [ring.one()])
     if len(ideals) > 1 and all(J.is_monomial for J in ideals):
-        ring = ideals[0].ring
-        if any(J.ring != ring for J in ideals):
+        if any(J.ring != ideals[0].ring for J in ideals):
             raise ValueError("ideals in different rings")
-        gens = ideals[0].monomial_generators()
-        for J in ideals[1:]:
-            gens = _monomial_meet(gens, J.monomial_generators())
-        return _monomial_ideal(ring, gens)
+        return _monomial_ideal(ideals[0].ring, functools.reduce(
+            _monomial_meet, [J.monomial_generators() for J in ideals]))
     out = ideals[0]
     for J in ideals[1:]:
         out = intersect(out, J)
@@ -540,10 +531,8 @@ def _colon_poly(I, g):
     if I.is_zero:
         return Ideal(ring)
     if I.is_monomial and g.is_monomial:
-        gm = g.leading_monomial(GREVLEX)
-        quotients = [mono_div(m, mono_gcd(m, gm))
-                     for m in I.monomial_generators()]
-        return _monomial_ideal(ring, _monomial_min_gens(quotients))
+        return _monomial_ideal(ring, _monomial_colon(
+            I.monomial_generators(), next(iter(g.terms))))
     meet = intersect(I, Ideal(ring, [g]))
     return Ideal(ring, [exact_quotient(h, g) for h in meet.generators])
 
@@ -607,3 +596,58 @@ def radical_membership(f, I):
     rel = big.one() - big.gen(zi) * f.map_to(big, var_map)
     up = Ideal(big, _lift(I.generators, big, var_map) + [rel])
     return up.is_unit
+
+
+# ---------------------------------------------------------------------------
+# Monomial ideals as exponent tuples (Miller and Sturmfels 2005, ch. 1).
+# Each function takes and returns minimal generators ascending in grevlex,
+# the leads Ideal.monomial_generators gives, so equal ideals have equal
+# tuples.  A sum is _monomial_min_gens of the concatenation and a power
+# repeated products.
+
+def _monomial_min_gens(monomials):
+    """Minimal generators of the ideal the exponent tuples generate.
+    Distinct monomials of one total degree never divide each other, so a
+    candidate is tested only against the kept ones of lower degree, and
+    an input generated in one degree takes one sort."""
+    kept = []
+    lower = 0       # kept[:lower] have lower total degree than m
+    degree = None
+    # descending (-degree, reversed exponents) is ascending grevlex
+    for d, _, m in sorted([(-sum(m), m[::-1], m) for m in set(monomials)],
+                          reverse=True):
+        if d != degree:
+            degree, lower = d, len(kept)
+        for k in kept[:lower]:
+            if all(map(le, k, m)):
+                break
+        else:
+            kept.append(m)
+    return tuple(kept)
+
+
+def _monomial_meet(a, b):
+    """Meet: the pairwise lcms."""
+    return _monomial_min_gens([mono_lcm(x, y) for x in a for y in b])
+
+
+def _monomial_product(a, b):
+    """Product: the pairwise products."""
+    return _monomial_min_gens([mono_mul(x, y) for x in a for y in b])
+
+
+def _monomial_colon(a, m):
+    """Colon by the monomial m: each generator over its gcd with m."""
+    return _monomial_min_gens([tuple(max(e - f, 0) for e, f in zip(x, m))
+                               for x in a])
+
+
+def _monomial_radical(a):
+    """Radical: the squarefree supports."""
+    return _monomial_min_gens([tuple(1 if e else 0 for e in x) for x in a])
+
+
+def _monomial_le(a, b):
+    """Containment of the ideal of a in that of b, by divisibility; a
+    need not be minimal."""
+    return all(any(mono_divides(k, m) for k in b) for m in a)

@@ -16,9 +16,10 @@ from __future__ import annotations
 from .decomposition import (ASSUMED, VERIFIED, Decomposition,
                             PrimaryComponent, UnsupportedClassError,
                             _decompose_for_primes, _inclusion_minimal,
-                            _irredundant, _primes_of, associated_primes,
-                            check_minimal, classical_decomposition,
-                            minimal_primes, radical_ideal)
+                            _irredundant, _meet_view, _primes_of,
+                            associated_primes, check_minimal,
+                            classical_decomposition, minimal_primes,
+                            radical_ideal)
 from .grading import is_g_ideal, star
 from .groebner import (Ideal, colon, ideal_product, intersect_all,
                        saturate_ideal)
@@ -104,33 +105,25 @@ def _g_decompose(N, star_of, dec):
     with equal G-radical stay G-primary, so merging is sound and the
     result is minimal.
     """
-    starred = []
-    for c in dec.components:
-        starred.append(PrimaryComponent(star_of(c.component),
-                                        star_of(c.radical), c.status))
-    starred.sort(key=lambda g: (_canon_key(g.radical),
-                                _canon_key(g.component)))
+    starred = sorted(
+        (PrimaryComponent(star_of(c.component), star_of(c.radical), c.status)
+         for c in dec.components),
+        key=lambda g: (_canon_key(g.radical), _canon_key(g.component)))
+    kept = [starred[i] for i in _irredundant(
+        *_meet_view([g.component for g in starred], N))]
 
-    survivors = _irredundant([g.component for g in starred], N)
-    kept = [g for g in starred if any(g.component is s for s in survivors)]
-
-    by_radical = []
+    # kept is sorted by G-radical: the components to merge are adjacent,
+    # and the merged ones come out in canonical order
+    groups = []
     for g in kept:
-        for slot in by_radical:
-            if slot[0] == g.radical:
-                slot[1].append(g)
-                break
+        if groups and groups[-1][0].radical == g.radical:
+            groups[-1].append(g)
         else:
-            by_radical.append([g.radical, [g]])
-
-    components = []
-    for P, group in by_radical:
-        comp = intersect_all([g.component for g in group], N.ring)
-        status = VERIFIED if all(g.status == VERIFIED for g in group) \
-            else ASSUMED
-        components.append(PrimaryComponent(comp, P, status))
-    components.sort(key=lambda g: _canon_key(g.radical))
-    return Decomposition(N, tuple(components))
+            groups.append([g])
+    return Decomposition(N, tuple(PrimaryComponent(
+        intersect_all([g.component for g in group], N.ring), group[0].radical,
+        VERIFIED if all(g.status == VERIFIED for g in group) else ASSUMED)
+        for group in groups))
 
 
 def _starred(primes, star_of):
@@ -246,7 +239,7 @@ def g_associated_witness(N, graded, gdec, index):
     M = intersect_all(others, ring)
     C = colon(N, M)
     previous, power = Ideal(ring, [ring.one()]), P
-    while not all(C.contains(g) for g in power.generators):
+    while not power <= C:
         # minimal generators keep P^n from carrying len(P)^n products
         previous = power
         power = Ideal(ring, ideal_product(power, P).canonical_generators())
@@ -264,8 +257,6 @@ def g_associated_witness(N, graded, gdec, index):
 
 def _dimension_of_prime(P):
     ring = P.ring
-    if P.is_zero:
-        return ring.nvars
     if P.is_monomial:
         return ring.nvars - len(P.monomial_generators())
     if ring.nvars == 1:

@@ -89,7 +89,7 @@ def _parse_grading(data, ring, path):
     _expect(data, path, dict, "an object")
     _only_keys(data, path, {"free_rank", "torsion", "degrees"})
     free_rank = data.get("free_rank", 0)
-    if not isinstance(free_rank, int) or free_rank < 0:
+    if type(free_rank) is not int or free_rank < 0:
         raise JobError(f"{path}.free_rank", "expected a nonnegative integer")
     torsion = _expect(data.get("torsion", []), f"{path}.torsion", list,
                       "a list of moduli")
@@ -179,9 +179,9 @@ def parse_job(text):
                    {"rows", "cols", "entries", "row_degrees", "col_degrees"})
         rows = spec.get("rows")
         cols = spec.get("cols")
-        if not isinstance(rows, int) or rows < 1:
+        if type(rows) is not int or rows < 1:
             raise JobError(f"{mpath}.rows", "expected a positive integer")
-        if not isinstance(cols, int) or cols < 1:
+        if type(cols) is not int or cols < 1:
             raise JobError(f"{mpath}.cols", "expected a positive integer")
         entries = _expect(spec.get("entries"), f"{mpath}.entries", list,
                           "a row-major list of polynomial strings")
@@ -304,10 +304,16 @@ def _arg(job, i, kind):
             raise JobError(path, f"no {kind} named {token!r}")
         return named[token]
     if kind == "integer":
-        try:
-            return int(token)
-        except (TypeError, ValueError):
-            raise JobError(path, "expected an integer")
+        # a JSON integer or a string int() reads; a float or a bool is
+        # refused, not truncated
+        if type(token) is int:
+            return token
+        if isinstance(token, str):
+            try:
+                return int(token)
+            except ValueError:
+                pass
+        raise JobError(path, "expected an integer")
     if kind == "ideal-or-polynomial" and token in job.ideals:
         return job.ideals[token]
     return _parse_poly(token, job.ring, path)

@@ -238,9 +238,9 @@ class PolynomialRing:
         return PolynomialRing(self.field, self.variables + tuple(extra_names))
 
     def __eq__(self, other):
-        return (isinstance(other, PolynomialRing)
-                and other.field == self.field
-                and other.variables == self.variables)
+        return self is other or (isinstance(other, PolynomialRing)
+                                 and other.field == self.field
+                                 and other.variables == self.variables)
 
     def __hash__(self):
         return hash((self.field, self.variables))

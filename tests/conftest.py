@@ -1,8 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from grady.grading import GradedRing, GradingGroup
 from grady.groebner import Ideal
 from grady.poly import GF, QQ, PolynomialRing
+
+# CI runs with HYPOTHESIS_PROFILE=ci: derandomized, so a red run repeats
+# from its log, which also prints the blob that reproduces each failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

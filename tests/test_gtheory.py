@@ -145,6 +145,19 @@ def test_g_associated_witness_of_a_high_power(Rxy, fine_xy, monkeypatch):
         g_associated_witness(N, fine_xy, gdec, index)
 
 
+def test_g_associated_witness_of_power_199(Rxy, fine_xy):
+    """(x, y)^198, with 199 minimal generators, is the first power inside
+    the colon; each power is the previous one's exponent tuples times
+    those of (x, y), minimalized in one pass, so the loop stays fast."""
+    N = Ideal(Rxy, ["x^199", "x*y"])
+    gdec = g_primary_decomposition(N, fine_xy)
+    index = [str(c.radical) for c in gdec.components].index("Ideal(x, y)")
+    start = time.perf_counter()
+    f = g_associated_witness(N, fine_xy, gdec, index)
+    assert time.perf_counter() - start < 0.5
+    assert str(f) == "x^198"
+
+
 def test_theorem_suite_passes(Rxy, fine_xy):
     report = verify_theorem_suite(Ideal(Rxy, ["x^4", "x^3*y"]), fine_xy)
     assert report["status"] == "pass"

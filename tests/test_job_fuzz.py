@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +108,50 @@ def test_one_swapped_field_never_escapes(text):
     code, out = _grady_run(text)
     assert code in (0, 2, 3), out
     assert "internal-error" not in out
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _integer_slots(doc):
+    """Paths of a document's integer slots: free ranks, torsion moduli,
+    degree entries, matrix shapes and the fitting index argument."""
+    keys = ("free_rank", "torsion", "degrees", "row_degrees", "col_degrees",
+            "rows", "cols")
+    return [p for p in _paths(doc)
+            if type(_at(doc, p)) is int and any(k in keys for k in p)
+            or p == ("command", "args", 1) and doc["command"]["op"] ==
+            "fitting"]
+
+
+_SLOTTED = [doc for doc in _BASES if _integer_slots(doc)]
+
+
+def _with(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path[:-1])[path[-1]] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+@given(st.data())
+def test_non_integral_float_in_an_integer_slot_exits_two(data):
+    """A float is an input error, never truncated to the integer below."""
+    doc = data.draw(st.sampled_from(_SLOTTED))
+    path = data.draw(st.sampled_from(_integer_slots(doc)))
+    value = data.draw(st.floats(-8, 8).filter(lambda v: v != int(v)))
+    code, out = _grady_run(_with(doc, path, value))
+    assert code == 2 and "input-error" in out, out
+
+
+@pytest.mark.parametrize("value", [2.0, True, False])
+@pytest.mark.parametrize("base", range(len(_SLOTTED)))
+def test_integral_floats_and_booleans_in_integer_slots_exit_two(base, value):
+    doc = _SLOTTED[base]
+    for path in _integer_slots(doc):
+        code, out = _grady_run(_with(doc, path, value))
+        assert code == 2, (path, out)
+
