@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import reduce
 
 from .groebner import (GREVLEX, Ideal, _monomial_ideal, _monomial_meet,
-                       _monomial_min_gens, _monomial_radical, intersect,
-                       intersect_all)
+                       _monomial_min_gens, _monomial_radical, _primed,
+                       intersect, intersect_all)
 from .poly import Polynomial, ResourceLimitError
 
 
@@ -176,20 +176,27 @@ def monomial_dimension(I):
 
 # ---------------------------------------------------------------------------
 # Univariate principal ideals.  Dense coefficient lists, constant term
-# first.  Both fields start from the squarefree decomposition (_squarefree).
-# Over a prime field each squarefree part is then split completely by
-# distinct-degree factoring and Cantor-Zassenhaus equal-degree splitting;
-# over Q we pull out linear factors by rational roots and leave any
-# nonlinear squarefree residue as an assumed component.
+# first.  Over a prime field the squarefree decomposition (_squarefree)
+# is split completely by distinct-degree factoring and Cantor-Zassenhaus
+# equal-degree splitting.  Over Q the work runs on primitive integer lists
+# (content removed, lead positive): Yun's loop with primitive-PRS gcds and
+# exact division in Z[x] (_z_squarefree; Brown 1971, von zur Gathen and
+# Gerhard, Modern Computer Algebra, ch. 6), then the rational roots p/q of
+# each part by integer Horner evaluation, each deflated by exact division.
+# A nonlinear residue stays one assumed component.  Squarefree parts are
+# unique up to a unit, so the monic parts match a field computation.  A
+# list becomes a monic polynomial only in a published ideal (_principal):
+# a monic univariate generator is its own reduced grevlex basis.
 #
 # The dense stages refuse with ResourceLimitError when their estimated
 # cost, in coefficient operations, exceeds MAX_FACTOR_WORK: deg^2 for the
 # squarefree gcds, checked on the sparse input before any dense list is
 # built (a p-th root taken later only lowers the degree), and
 # m^3 * bit length of p for the distinct- and equal-degree stages on a
-# squarefree part of degree m.  The rational-root search over Q trial-
-# divides the end coefficients and refuses above MAX_FACTOR_CANDIDATES
-# divisor candidates.
+# squarefree part of degree m.  The rational-root search over Q takes
+# numerators from the divisors of a part's constant term and denominators
+# from those of its lead, and refuses above MAX_FACTOR_CANDIDATES divisor
+# candidates.
 MAX_FACTOR_WORK = 2 * 10 ** 6
 MAX_FACTOR_CANDIDATES = 10 ** 5
 
@@ -209,8 +216,28 @@ def _coeffs(f):
     return out
 
 
-def _from_coeffs(ring, coeffs):
-    return Polynomial(ring, {(i,): c for i, c in enumerate(coeffs)})
+def _principal(ring, a, mult=1):
+    """The ideal (a^mult) of the dense list a (integers over Q, residues
+    over F_p), primed with its monic generator, whose terms descend as
+    in a reduced basis."""
+    p = ring.field.characteristic
+    g = [1]
+    for _ in range(mult):
+        g = _mul_uni(g, a, p)
+    lead = g[-1]
+    if p:
+        inv = pow(lead, -1, p)
+        terms = {(i,): c * inv % p for i, c in reversed(list(enumerate(g)))
+                 if c}
+    else:
+        terms = {(i,): Fraction(c, lead)
+                 for i, c in reversed(list(enumerate(g))) if c}
+    return _primed(ring, [Polynomial(ring, terms, _clean=True)])
+
+
+def _component(ring, base, mult, status=VERIFIED):
+    return PrimaryComponent(_principal(ring, base, mult),
+                            _principal(ring, base), status)
 
 
 def _deg(a):
@@ -224,24 +251,31 @@ def _trim(a):
     return a[:_deg(a) + 1]
 
 
+def _mul_uni(a, b, p):
+    """a * b, reduced mod p when p is nonzero."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                prod[i + j] += c * d
+    return [c % p for c in prod] if p else prod
+
+
+# Over F_p: residue lists.
+
 def _divmod_uni(a, b, field):
     p = field.characteristic
     a = list(a)
-    db, lb = _deg(b), b[_deg(b)]
-    inv = field.inv(lb)
-    q = [field.zero] * max(len(a) - db, 1)
+    db = _deg(b)
+    inv = field.inv(b[db])
+    q = [0] * max(len(a) - db, 1)
     while _deg(a) >= db:
         da = _deg(a)
-        c = a[da] * inv
-        if p:
-            c %= p
+        c = a[da] * inv % p
         q[da - db] = c
         for i in range(db + 1):
-            s = a[da - db + i] - c * b[i]
-            if p:
-                s %= p
-            a[da - db + i] = s
-    return _trim(q) or [field.zero], _trim(a) or [field.zero]
+            a[da - db + i] = (a[da - db + i] - c * b[i]) % p
+    return _trim(q) or [0], _trim(a) or [0]
 
 
 def _gcd_uni(a, b, field):
@@ -256,33 +290,18 @@ def _gcd_uni(a, b, field):
 
 def _derivative_uni(a, field):
     p = field.characteristic
-    out = []
-    for i in range(1, len(a)):
-        c = a[i] * i
-        if p:
-            c %= p
-        out.append(c)
-    return _trim(out) or [field.zero]
+    return _trim([a[i] * i % p for i in range(1, len(a))]) or [0]
 
 
 def _monic_uni(a, field):
     p = field.characteristic
     inv = field.inv(a[_deg(a)])
-    out = [c * inv for c in a]
-    if p:
-        out = [c % p for c in out]
-    return out
+    return [c * inv % p for c in a]
 
 
 def _mulmod_uni(a, b, g, field):
     """a * b mod g over F_p."""
-    p = field.characteristic
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                prod[i + j] += c * d
-    return _divmod_uni([c % p for c in prod], g, field)[1]
+    return _divmod_uni(_mul_uni(a, b, field.characteristic), g, field)[1]
 
 
 def _powmod_uni(a, e, g, field):
@@ -297,11 +316,11 @@ def _powmod_uni(a, e, g, field):
 
 def _squarefree(f, field):
     """[(monic squarefree part, multiplicity)] of the univariate
-    polynomial f, over Q or F_p, by Yun's loop.  In characteristic p the
-    loop leaves behind the factors whose multiplicity p divides; their
-    product has zero derivative, so it is the p-th power of the
-    polynomial with its coefficients at multiples of p (c^(1/p) = c in
-    F_p), and the loop runs again on that root, multiplicities times p."""
+    polynomial f over F_p, by Yun's loop.  The loop leaves behind the
+    factors whose multiplicity p divides; their product has zero
+    derivative, so it is the p-th power of the polynomial with its
+    coefficients at multiples of p (c^(1/p) = c in F_p), and the loop
+    runs again on that root, multiplicities times p."""
     _check_work(f.total_degree() ** 2, "squarefree decomposition")
     p = field.characteristic
     a = _monic_uni(_coeffs(f), field)
@@ -398,6 +417,86 @@ def _fp_factor(f, field):
     return factors
 
 
+# Over Q: primitive integer lists, trimmed, lead positive.
+
+def _primitive(a):
+    """a divided by its content, signed so the lead is positive."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _z_prem(a, b):
+    """Primitive part of a pseudo-remainder of a by b over Z: a mod b up
+    to a nonzero rational factor; [] when b divides a."""
+    a = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(a) > db:
+        c = a.pop()
+        g = math.gcd(c, lb)
+        u, v = lb // g, c // g
+        if u != 1:
+            a = [u * t for t in a]
+        s = len(a) - db
+        for i in range(db):
+            a[s + i] -= v * b[i]
+        while a and not a[-1]:
+            a.pop()
+    return _primitive(a) if a else a
+
+
+def _z_gcd(a, b):
+    """gcd of a and b over Z, primitive with a positive lead, by the
+    primitive remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, _z_prem(a, b)
+    return _primitive(a)
+
+
+def _z_exquo(a, b):
+    """a / b over Z, for a b that divides a."""
+    a = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + db] // lb
+        if c:
+            for i in range(db):
+                a[k + i] -= c * b[i]
+    return q
+
+
+def _z_squarefree(f):
+    """[(primitive squarefree part, multiplicity)] of the univariate
+    polynomial f over Q, by Yun's loop in Z[x]: the gcds are primitive
+    and every division is exact (Gauss's lemma), so each quotient stays
+    primitive with a positive lead."""
+    _check_work(f.total_degree() ** 2, "squarefree decomposition")
+    coeffs = _coeffs(f)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    a = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    c = _z_gcd(a, [i * t for i, t in enumerate(a)][1:])
+    w = _z_exquo(a, c)
+    out = []
+    i = 1
+    while len(w) > 1:
+        y = _z_gcd(w, c)
+        z = _z_exquo(w, y)
+        if len(z) > 1:
+            out.append((z, i))
+        w = y
+        c = _z_exquo(c, y)
+        i += 1
+    return out
+
+
 def _divisors(n):
     n = abs(n)
     if math.isqrt(n) > MAX_FACTOR_CANDIDATES:
@@ -414,32 +513,36 @@ def _divisors(n):
     return sorted(out)
 
 
-def _rational_roots(s_coeffs):
-    """All rational roots of a squarefree polynomial with Fraction
-    coefficients."""
-    den = math.lcm(*(c.denominator for c in s_coeffs))
-    ints = [int(c * den) for c in s_coeffs]
+def _z_value(a, p, q):
+    """q^deg(a) * a(p/q), by Horner's rule in integers."""
+    acc, qk = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _z_rational_roots(a):
+    """([(p, q)] with q > 0 for the rational roots p/q of the squarefree
+    primitive a, and a divided by their linear factors q*x - p."""
     roots = []
-    while ints[0] == 0:
-        roots.append(Fraction(0))
-        ints = ints[1:]
-        break  # squarefree: at most one factor of x
-    if _deg(ints) < 1:
-        return roots
-    if _deg(ints) == 1:     # read the root off, no search
-        return sorted(roots + [Fraction(-ints[0], ints[1])])
-    a0, alead = ints[0], ints[_deg(ints)]
-    for p_ in _divisors(a0):
-        for q_ in _divisors(alead):
-            for cand in (Fraction(p_, q_), Fraction(-p_, q_)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(_trim(ints)):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return sorted(roots)
+    if a[0] == 0:       # squarefree: at most one factor x
+        roots.append((0, 1))
+        a = a[1:]
+    if len(a) > 2:
+        nums, dens = _divisors(a[0]), _divisors(a[-1])
+        for n, q in itertools.product(nums, dens):
+            if math.gcd(n, q) > 1:
+                continue
+            for p in (n, -n):
+                if (len(a) > 2 and a[0] % p == 0 and a[-1] % q == 0
+                        and _z_value(a, p, q) == 0):
+                    roots.append((p, q))
+                    a = _z_exquo(a, [-p, q])
+    if len(a) == 2:     # read the last root off, no search
+        roots.append((-a[0], a[1]))
+        a = [1]
+    return roots, a
 
 
 def univariate_primary_decomposition(I):
@@ -462,25 +565,15 @@ def univariate_primary_decomposition(I):
     field = ring.field
     components = []
     if field.characteristic:
-        for tail, mult in sorted(_fp_factor(f, field).items()):
-            base = _from_coeffs(ring, list(tail))
-            components.append(PrimaryComponent(
-                Ideal(ring, [base ** mult]), Ideal(ring, [base]), VERIFIED))
+        for tail, mult in _fp_factor(f, field).items():
+            components.append(_component(ring, tail, mult))
     else:
-        for z, mult in _squarefree(f, field):
-            remaining = list(z)
-            for root in _rational_roots(z):
-                lin = [-root, Fraction(1)]
-                base = _from_coeffs(ring, lin)
-                components.append(PrimaryComponent(
-                    Ideal(ring, [base ** mult]), Ideal(ring, [base]),
-                    VERIFIED))
-                remaining, _ = _divmod_uni(remaining, lin, field)
-            if _deg(remaining) >= 1:
-                base = _from_coeffs(ring, remaining)
-                components.append(PrimaryComponent(
-                    Ideal(ring, [base ** mult]), Ideal(ring, [base]),
-                    ASSUMED))
+        for z, mult in _z_squarefree(f):
+            roots, rest = _z_rational_roots(z)
+            for p, q in roots:
+                components.append(_component(ring, (-p, q), mult))
+            if len(rest) > 1:
+                components.append(_component(ring, rest, mult, ASSUMED))
     components.sort(key=lambda c: (c.radical.generators[0].total_degree(),
                                    str(c.radical.generators[0])))
     return Decomposition(I, tuple(components))
@@ -546,8 +639,11 @@ def radical_ideal(I):
         gb = list(I.groebner(GREVLEX))
         if not gb:
             return Ideal(ring)
-        parts = [_from_coeffs(ring, s)
-                 for s, _ in _squarefree(gb[0], ring.field)]
-        return Ideal(ring, [math.prod(parts, start=ring.one())])
+        p = ring.field.characteristic
+        product = [1]
+        for s, _ in (_squarefree(gb[0], ring.field) if p
+                     else _z_squarefree(gb[0])):
+            product = _mul_uni(product, s, p)
+        return _principal(ring, product)
     raise UnsupportedClassError("radical outside supported classes")
 

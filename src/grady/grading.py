@@ -13,7 +13,12 @@ from operator import mul
 from typing import NamedTuple
 
 from .groebner import Ideal, _monomial_ideal, _primed, _restrict, eliminate
-from .poly import GREVLEX, Polynomial, fresh_names
+from .poly import GREVLEX, Polynomial, ResourceLimitError, fresh_names
+
+# star eliminates over s^m - 1 for each used torsion modulus m, in time
+# that grows faster than m^2: on a 2-core VM, star of (x - 1) over F5
+# graded by Z/m takes 0.9 s at m = 1000 and 4.4 s at m = 2000.
+MAX_TORSION_MODULUS = 1000
 
 
 class Hdeg(NamedTuple):
@@ -170,9 +175,13 @@ def star(I, graded):
         raise ValueError("ideal and grading live on different rings")
     if I.is_zero:
         return Ideal(ring)
-    # Monomials are homogeneous: a monomial ideal is its own star.
+    # Monomials are homogeneous: a monomial ideal is its own star, and is
+    # returned as it is when it already holds its minimal generators.
     if I.is_monomial:
-        return _monomial_ideal(ring, I.monomial_generators())
+        gb = I.groebner(GREVLEX)
+        if I.generators == gb.elements:
+            return I
+        return _monomial_ideal(ring, gb.leads)
     gens = I.canonical_generators()
     if graded.group.is_trivial:
         return _primed(ring, gens)
@@ -189,6 +198,11 @@ def star(I, graded):
     free_used = [j for j in range(r) if any(graded.weights[j])]
     tors_used = [k for k in range(len(moduli))
                  if any(graded.weights[r + k])]
+    for k in tors_used:
+        if moduli[k] > MAX_TORSION_MODULUS:
+            raise ResourceLimitError(
+                f"star would eliminate over the relation s^{moduli[k]} - 1, "
+                f"over the torsion modulus budget of {MAX_TORSION_MODULUS}")
 
     taken = set(ring.variables)
     u_names = fresh_names("u", len(free_used), taken)

@@ -42,7 +42,8 @@ class GroebnerBasis:
     """Reduced monic basis for an ideal under a fixed order: elements
     ascending in the order, with their leading monomials."""
 
-    __slots__ = ("ring", "order", "elements", "leads", "_reducers")
+    __slots__ = ("ring", "order", "elements", "leads", "_reducers",
+                 "_monomial")
 
     def __init__(self, ring, order, elements, leads):
         self.ring = ring
@@ -51,6 +52,14 @@ class GroebnerBasis:
         self.leads = tuple(leads)
         self._reducers = tuple(
             (lm, g.terms) for lm, g in zip(self.leads, self.elements))
+        self._monomial = None
+
+    @property
+    def is_monomial(self):
+        """Every element is a single term; found on the first call."""
+        if self._monomial is None:
+            self._monomial = all(len(g.terms) == 1 for g in self.elements)
+        return self._monomial
 
     def normal_form(self, f):
         if f.ring != self.ring:
@@ -314,14 +323,15 @@ class Ideal:
 
     @property
     def is_monomial(self):
-        return all(len(g.terms) == 1 for g in self.groebner(GREVLEX).elements)
+        return self.groebner(GREVLEX).is_monomial
 
     def monomial_generators(self):
         """Minimal generating exponent tuples, ascending in grevlex (the
         form of the monomial kernel below); only for monomial ideals."""
-        if not self.is_monomial:
+        gb = self.groebner(GREVLEX)
+        if not gb.is_monomial:
             raise ValueError("not a monomial ideal")
-        return self.groebner(GREVLEX).leads
+        return gb.leads
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):

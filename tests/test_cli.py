@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -139,6 +140,35 @@ def test_saturation_exponent_is_found_or_refused(tmp_path, capsys):
     assert code == 3 and result["status"] == "unsupported"
     assert result["payload"]["reason"] == "budget"
     assert "saturation exponent" in result["payload"]["detail"]
+
+
+def _torsion_star_doc(modulus):
+    return {"ring": {"field": "F5", "vars": ["x"]},
+            "grading": {"free_rank": 0, "torsion": [modulus],
+                        "degrees": [[[], [1]]]},
+            "ideals": {"I": ["x - 1"]},
+            "command": {"op": "star", "args": ["I"], "options": {}}}
+
+
+def test_torsion_modulus_is_answered_or_refused(tmp_path, capsys):
+    """star of (x - 1) graded by Z/m eliminates over s^m - 1: m = 1000 is
+    answered, m = 20000 refused before the elimination starts."""
+    from grady.grading import MAX_TORSION_MODULUS
+    assert MAX_TORSION_MODULUS == 1000
+    code = cli.main(["run", _write_job(tmp_path, _torsion_star_doc(1000))])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["payload"]["generators"] == ["x^1000 + 4"]
+
+    start = time.perf_counter()
+    code = cli.main(["run", _write_job(tmp_path, _torsion_star_doc(20000))])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    result = json.loads(out)
+    assert code == 3 and result["status"] == "unsupported"
+    assert result["payload"]["reason"] == "budget"
+    assert "s^20000 - 1" in result["payload"]["detail"]
+    assert "Traceback" not in err
 
 
 def _decompose_doc(field, generator):

@@ -3,28 +3,38 @@ any number of variables, arbitrary ideals on a line."""
 
 import contextlib
 import itertools
+import math
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grady.decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
-                                 _deg, _divmod_uni, _fp_factor, _from_coeffs,
-                                 _monic_uni, _trim, associated_primes,
-                                 classical_decomposition, minimal_primes,
-                                 monomial_dimension,
+                                 _deg, _divisors, _divmod_uni, _fp_factor,
+                                 _monic_uni, _mul_uni, _trim,
+                                 _z_rational_roots, _z_squarefree,
+                                 associated_primes, classical_decomposition,
+                                 minimal_primes, monomial_dimension,
                                  monomial_primary_decomposition,
                                  monomial_radical, radical_ideal,
                                  univariate_primary_decomposition)
 from grady.groebner import Ideal, colon, intersect_all
-from grady.poly import GF, QQ, PolynomialRing
+from grady.poly import GF, QQ, Polynomial, PolynomialRing
+
+
+def _from_coeffs(ring, coeffs):
+    return Polynomial(ring, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def _gens(I):
+    return [str(g) for g in I.canonical_generators()]
 
 
 def _comp_gens(dec):
-    return [[str(g) for g in c.component.canonical_generators()]
-            for c in dec.components]
+    return [_gens(c.component) for c in dec.components]
 
 
 def test_is_monomial_ideal(Rxy):
@@ -286,6 +296,164 @@ def test_linear_factor_over_q_needs_no_root_search():
             for c in dec.components] == [
         "x", "x - 100000000000000000000000/3"]
     assert all(c.status == VERIFIED for c in dec.components)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel over Q against the Fraction arithmetic it replaced:
+# Yun's loop with monic field gcds and the rational-root search, copied.
+
+def _ref_divmod(a, b):
+    a = list(a)
+    db = _deg(b)
+    inv = 1 / b[db]
+    q = [Fraction(0)] * max(len(a) - db, 1)
+    while _deg(a) >= db:
+        da = _deg(a)
+        c = a[da] * inv
+        q[da - db] = c
+        for i in range(db + 1):
+            a[da - db + i] -= c * b[i]
+    return _trim(q) or [Fraction(0)], _trim(a) or [Fraction(0)]
+
+
+def _ref_monic(a):
+    inv = 1 / a[_deg(a)]
+    return [c * inv for c in a]
+
+
+def _ref_gcd(a, b):
+    a, b = _trim(list(a)), _trim(list(b))
+    while _deg(b) >= 0:
+        a, b = b, _ref_divmod(a, b)[1]
+    return a if _deg(a) < 0 else _ref_monic(a)
+
+
+def _ref_squarefree(coeffs):
+    """[(monic squarefree part, multiplicity)] over Q by Yun's loop."""
+    a = _ref_monic(_trim(list(coeffs)))
+    derivative = _trim([a[i] * i for i in range(1, len(a))]) or [Fraction(0)]
+    c = _ref_gcd(a, derivative)
+    w = _ref_divmod(a, c)[0]
+    out = []
+    i = 1
+    while _deg(w) >= 1:
+        y = _ref_gcd(w, c)
+        z = _ref_divmod(w, y)[0]
+        if _deg(z) >= 1:
+            out.append((z, i))
+        w = y
+        c = _ref_divmod(c, y)[0]
+        i += 1
+    return out
+
+
+def _ref_rational_roots(s):
+    """Sorted rational roots of a squarefree s with Fraction coefficients,
+    each candidate tested by Fraction Horner evaluation."""
+    den = math.lcm(*(c.denominator for c in s))
+    ints = [int(c * den) for c in s]
+    roots = []
+    if ints[0] == 0:
+        roots.append(Fraction(0))
+        ints = ints[1:]
+    if _deg(ints) < 1:
+        return roots
+    if _deg(ints) == 1:
+        return sorted(roots + [Fraction(-ints[0], ints[1])])
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[_deg(ints)]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in roots:
+                    continue
+                acc = Fraction(0)
+                for c in reversed(_trim(ints)):
+                    acc = acc * cand + c
+                if acc == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def _ref_residue(z, roots):
+    """z divided by x - r for each rational root r."""
+    for root in roots:
+        z = _ref_divmod(z, [-root, Fraction(1)])[0]
+    return z
+
+
+def _ref_decomposition(ring, coeffs):
+    """[(component, radical, status)] as printed, built the old way: field
+    arithmetic, and ideals whose bases Buchberger computes."""
+    rows = []
+    for z, mult in _ref_squarefree(coeffs):
+        roots = _ref_rational_roots(z)
+        bases = [([-root, Fraction(1)], VERIFIED) for root in roots]
+        residue = _ref_residue(z, roots)
+        if _deg(residue) >= 1:
+            bases.append((residue, ASSUMED))
+        for base, status in bases:
+            base = _from_coeffs(ring, base)
+            radical = Ideal(ring, [base]).canonical_generators()[0]
+            rows.append(((radical.total_degree(), str(radical)),
+                         (_gens(Ideal(ring, [base ** mult])),
+                          [str(radical)], status)))
+    return [row for _, row in sorted(rows)]
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _q_products(draw):
+    """Dense Fraction coefficients of c * prod f_i^e_i: random linear and
+    quadratic f_i with rational coefficients, multiplicities 1 to 4,
+    total degree at most 12, and a random nonzero scalar c, so the lead
+    may be negative and the content above one."""
+    f = [draw(_fractions.filter(bool)) * draw(st.integers(1, 12))]
+    budget = 12
+    for _ in range(draw(st.integers(1, 4))):
+        if budget < 1:
+            break
+        deg = draw(st.integers(1, min(2, budget)))
+        mult = draw(st.integers(1, min(4, budget // deg)))
+        g = draw(st.lists(_fractions, min_size=deg, max_size=deg))
+        g.append(draw(_fractions.filter(bool)))
+        for _ in range(mult):
+            f = _mul_uni(f, g, 0)
+        budget -= deg * mult
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q_products())
+@example([Fraction(c) for c in (0, -6, 0, 6)])         # 6 x (x^2 - 1)
+@example([Fraction(-3, 2), Fraction(0), Fraction(-3, 2), Fraction(0),
+          Fraction(-3, 8)])                             # -3/8 (x^2 + 2)^2
+@example([Fraction(c * 12) for c in (1, -2, 1)])        # 12 (x - 1)^2
+@example([Fraction(c, 3) for c in (0, 0, -2, 1)])       # x^2 (x - 2) / 3
+def test_integer_kernel_matches_fraction_reference(coeffs):
+    """Squarefree parts, multiplicities, rational roots, radical and the
+    published decomposition over Q equal those of field arithmetic."""
+    ring = PolynomialRing(QQ, ("x",))
+    f = _from_coeffs(ring, coeffs)
+    reference = _ref_squarefree(coeffs)
+    parts = _z_squarefree(f)
+    assert [([Fraction(c, z[-1]) for c in z], mult)
+            for z, mult in parts] == reference
+    for (z, _), (ref, _) in zip(parts, reference):
+        roots, rest = _z_rational_roots(z)
+        ref_roots = _ref_rational_roots(ref)
+        assert sorted(Fraction(p, q) for p, q in roots) == ref_roots
+        assert [Fraction(c, rest[-1]) for c in rest] == \
+            _ref_residue(ref, ref_roots)
+
+    I = Ideal(ring, [f])
+    product = math.prod((_from_coeffs(ring, z) for z, _ in reference),
+                        start=ring.one())
+    assert _gens(radical_ideal(I)) == _gens(Ideal(ring, [product]))
+
+    dec = univariate_primary_decomposition(I)
+    assert [(_gens(c.component), _gens(c.radical), c.status)
+            for c in dec.components] == _ref_decomposition(ring, coeffs)
 
 
 def test_dispatchers(Rxy):
