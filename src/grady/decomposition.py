@@ -175,25 +175,31 @@ def monomial_dimension(I):
 
 
 # ---------------------------------------------------------------------------
-# Univariate principal ideals.  Dense coefficient lists, constant term
-# first.  Over a prime field the squarefree decomposition (_squarefree)
-# is split completely by distinct-degree factoring and Cantor-Zassenhaus
-# equal-degree splitting.  Over Q the work runs on primitive integer lists
-# (content removed, lead positive): Yun's loop with primitive-PRS gcds and
-# exact division in Z[x] (_z_squarefree; Brown 1971, von zur Gathen and
-# Gerhard, Modern Computer Algebra, ch. 6), then the rational roots p/q of
-# each part by integer Horner evaluation, each deflated by exact division.
-# A nonlinear residue stays one assumed component.  Squarefree parts are
-# unique up to a unit, so the monic parts match a field computation.  A
-# list becomes a monic polynomial only in a published ideal (_principal):
-# a monic univariate generator is its own reduced grevlex basis.
+# Univariate principal ideals.  One list convention throughout: dense
+# coefficient lists, constant term first, always trimmed, so the degree is
+# len - 1 and zero is [].  Residues over F_p, primitive integers (content
+# removed, lead positive) over Q.  Yun's loop is written once (_yun) and
+# takes the field's gcd and exact division: monic Euclid over F_p, and
+# primitive-PRS gcds with exact division in Z[x] over Q (Brown 1971, von
+# zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  Over F_p a
+# p-th root step runs it again on what the loop leaves, and each
+# squarefree part is split completely (_fp_split) by distinct-degree
+# factoring and Cantor-Zassenhaus equal-degree splitting.  Over Q the
+# rational roots p/q of each part are found by integer Horner evaluation
+# and deflated by exact division; a nonlinear residue stays one assumed
+# component.  Squarefree parts are unique up to a unit, so the monic
+# parts match a field computation.  A list becomes a monic polynomial
+# only in a published ideal (_principal): a monic univariate generator is
+# its own reduced grevlex basis.
 #
 # The dense stages refuse with ResourceLimitError when their estimated
 # cost, in coefficient operations, exceeds MAX_FACTOR_WORK: deg^2 for the
 # squarefree gcds, checked on the sparse input before any dense list is
 # built (a p-th root taken later only lowers the degree), and
 # m^3 * bit length of p for the distinct- and equal-degree stages on a
-# squarefree part of degree m.  The rational-root search over Q takes
+# squarefree part of degree m.  Every division walks down its dividend
+# once, one step per quotient term, so the deg^2 estimate bounds the real
+# cost of the gcds.  The rational-root search over Q takes
 # numerators from the divisors of a part's constant term and denominators
 # from those of its lead, and refuses above MAX_FACTOR_CANDIDATES divisor
 # candidates.
@@ -240,17 +246,6 @@ def _component(ring, base, mult, status=VERIFIED):
                             _principal(ring, base), status)
 
 
-def _deg(a):
-    for i in range(len(a) - 1, -1, -1):
-        if a[i] != 0:
-            return i
-    return -1
-
-
-def _trim(a):
-    return a[:_deg(a) + 1]
-
-
 def _mul_uni(a, b, p):
     """a * b, reduced mod p when p is nonzero."""
     prod = [0] * (len(a) + len(b) - 1)
@@ -261,160 +256,174 @@ def _mul_uni(a, b, p):
     return [c % p for c in prod] if p else prod
 
 
+def _yun(a, gcd, exquo):
+    """([(squarefree part, multiplicity)], rest) of a by Yun's loop, with
+    the field's gcd and exact division.  In characteristic p the loop
+    leaves behind, in rest, the factors whose multiplicity p divides;
+    otherwise rest is a unit."""
+    c = gcd(a, [i * t for i, t in enumerate(a)][1:])
+    w = exquo(a, c)
+    out = []
+    i = 1
+    while len(w) > 1:
+        y = gcd(w, c)
+        z = exquo(w, y)
+        if len(z) > 1:
+            out.append((z, i))
+        w = y
+        c = exquo(c, y)
+        i += 1
+    return out, c
+
+
+def _squarefree(f):
+    """[(squarefree part, multiplicity)] of the univariate polynomial f:
+    monic residue lists over F_p, primitive integer lists over Q.  Over
+    F_p, what Yun's loop leaves has zero derivative, so it is the p-th
+    power of the polynomial with its coefficients at multiples of p
+    (c^(1/p) = c in F_p), and the loop runs again on that root,
+    multiplicities times p."""
+    _check_work(f.total_degree() ** 2, "squarefree decomposition")
+    p = f.ring.field.characteristic
+    coeffs = _coeffs(f)
+    if not p:
+        den = math.lcm(*(c.denominator for c in coeffs))
+        a = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+        return _yun(a, _z_gcd, _z_exquo)[0]
+    a = _fp_monic(coeffs, p)
+    out = []
+    scale = 1
+    while len(a) > 1:
+        parts, a = _yun(a, lambda u, v: _fp_gcd(u, v, p),
+                        lambda u, v: _fp_divmod(u, v, p)[0])
+        out += [(z, i * scale) for z, i in parts]
+        a = a[::p]
+        scale *= p
+    return out
+
+
 # Over F_p: residue lists.
 
-def _divmod_uni(a, b, field):
-    p = field.characteristic
-    a = list(a)
-    db = _deg(b)
-    inv = field.inv(b[db])
-    q = [0] * max(len(a) - db, 1)
-    while _deg(a) >= db:
-        da = _deg(a)
-        c = a[da] * inv % p
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-    return _trim(q) or [0], _trim(a) or [0]
+def _fp_reduce(a, p):
+    """The integer list a mod p, trimmed."""
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _gcd_uni(a, b, field):
-    a, b = _trim(list(a)), _trim(list(b))
-    while _deg(b) >= 0:
-        _, r = _divmod_uni(a, b, field)
-        a, b = b, r
-    if _deg(a) < 0:
-        return a
-    return _monic_uni(a, field)
+def _fp_sub(a, b, p):
+    return _fp_reduce([u - v for u, v in
+                       itertools.zip_longest(a, b, fillvalue=0)], p)
 
 
-def _derivative_uni(a, field):
-    p = field.characteristic
-    return _trim([a[i] * i % p for i in range(1, len(a))]) or [0]
-
-
-def _monic_uni(a, field):
-    p = field.characteristic
-    inv = field.inv(a[_deg(a)])
+def _fp_monic(a, p):
+    inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
-def _mulmod_uni(a, b, g, field):
-    """a * b mod g over F_p."""
-    return _divmod_uni(_mul_uni(a, b, field.characteristic), g, field)[1]
+def _fp_divmod(a, b, p):
+    """(q, r) with a = q*b + r and len(r) < len(b) over F_p, for a
+    nonzero b: each step pops the top term of the dividend."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a.pop() * inv % p
+        if c:
+            for i in range(db):
+                a[k + i] -= c * b[i]
+    return q, _fp_reduce(a, p)
 
 
-def _powmod_uni(a, e, g, field):
+def _fp_gcd(a, b, p):
+    """Monic gcd of a and b over F_p, [] when both are zero; b may be any
+    integer list."""
+    b = _fp_reduce(b, p)
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return _fp_monic(a, p) if a else a
+
+
+def _fp_powmod(a, e, g, p):
     """a^e mod g over F_p, by square-and-multiply."""
     out = [1]
     for bit in bin(e)[2:]:
-        out = _mulmod_uni(out, out, g, field)
+        out = _fp_divmod(_mul_uni(out, out, p), g, p)[1]
         if bit == "1":
-            out = _mulmod_uni(out, a, g, field)
+            out = _fp_divmod(_mul_uni(out, a, p), g, p)[1]
     return out
 
 
-def _squarefree(f, field):
-    """[(monic squarefree part, multiplicity)] of the univariate
-    polynomial f over F_p, by Yun's loop.  The loop leaves behind the
-    factors whose multiplicity p divides; their product has zero
-    derivative, so it is the p-th power of the polynomial with its
-    coefficients at multiples of p (c^(1/p) = c in F_p), and the loop
-    runs again on that root, multiplicities times p."""
-    _check_work(f.total_degree() ** 2, "squarefree decomposition")
-    p = field.characteristic
-    a = _monic_uni(_coeffs(f), field)
-    out = []
-    scale = 1
-    while True:
-        c = _gcd_uni(a, _derivative_uni(a, field), field)
-        w, _ = _divmod_uni(a, c, field)
-        i = 1
-        while _deg(w) >= 1:
-            y = _gcd_uni(w, c, field)
-            z, _ = _divmod_uni(w, y, field)
-            if _deg(z) >= 1:
-                out.append((z, i * scale))
-            w = y
-            c, _ = _divmod_uni(c, y, field)
-            i += 1
-        if _deg(c) < 1:
-            return out
-        a = c[::p]
-        scale *= p
-
-
-def _distinct_degree(g, field):
+def _distinct_degree(g, p):
     """[(product of the irreducible factors of degree d, d)] of a monic
     squarefree g over F_p: gcd(x^(p^d) - x, g), once the factors of lower
     degree are divided out."""
-    p = field.characteristic
     out = []
     h = [0, 1]
     d = 0
-    while 2 * (d + 1) <= _deg(g):
+    while 2 * (d + 1) < len(g):
         d += 1
-        h = _powmod_uni(h, p, g, field)
-        t = h + [0] * (2 - len(h))
-        t[1] = (t[1] - 1) % p
-        u = _gcd_uni(t, g, field)
-        if _deg(u) >= 1:
+        h = _fp_powmod(h, p, g, p)
+        u = _fp_gcd(_fp_sub(h, [0, 1], p), g, p)
+        if len(u) > 1:
             out.append((u, d))
-            g, _ = _divmod_uni(g, u, field)
-            h = _divmod_uni(h, g, field)[1]
-    if _deg(g) >= 1:
-        out.append((g, _deg(g)))
+            g = _fp_divmod(g, u, p)[0]
+            h = _fp_divmod(h, g, p)[1]
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
     return out
 
 
-def _equal_degree(g, d, field, rng):
+def _equal_degree(g, d, p, rng):
     """The monic irreducible factors of a monic squarefree g over F_p
     whose factors all have degree d (Cantor-Zassenhaus).  A random a
     splits g at gcd(a^((p^d-1)/2) - 1, g) for odd p and at the trace
     gcd(a + a^2 + ... + a^(2^(d-1)), g) for p = 2."""
-    p = field.characteristic
     out = []
     todo = [g]
     while todo:
         g = todo.pop()
-        n = _deg(g)
+        n = len(g) - 1
         if n == d:
             out.append(g)
             continue
-        a = _trim([rng.randrange(p) for _ in range(n)]) or [0]
+        a = _fp_reduce([rng.randrange(p) for _ in range(n)], p)
         if p == 2:
             t = s = a
             for _ in range(d - 1):
-                s = _mulmod_uni(s, s, g, field)
-                t = [(u + v) % 2
-                     for u, v in itertools.zip_longest(t, s, fillvalue=0)]
+                s = _fp_divmod(_mul_uni(s, s, 2), g, 2)[1]
+                t = _fp_sub(t, s, 2)
         else:
-            t = _powmod_uni(a, (p ** d - 1) // 2, g, field)
-            t[0] = (t[0] - 1) % p
-        u = _gcd_uni(t, g, field)
-        if 0 < _deg(u) < n:
-            todo += [u, _divmod_uni(g, u, field)[0]]
+            t = _fp_sub(_fp_powmod(a, (p ** d - 1) // 2, g, p), [1], p)
+        u = _fp_gcd(t, g, p)
+        if 1 < len(u) < len(g):
+            todo += [u, _fp_divmod(g, u, p)[0]]
         else:
             todo.append(g)
     return out
 
 
-def _fp_factor(f, field):
-    """{monic irreducible (tuple of residues): multiplicity} of the
-    univariate polynomial f over F_p: squarefree parts, then
-    distinct-degree factoring, then equal-degree splitting with a
-    generator seeded per call, so runs repeat exactly."""
-    p = field.characteristic
+def _fp_split(s, p, rng):
+    """The monic irreducible factors of the monic squarefree residue list
+    s over F_p: the work check, then distinct-degree factoring, then
+    equal-degree splitting with the random generator rng."""
+    m = len(s) - 1
+    _check_work(m ** 3 * p.bit_length(),
+                f"factoring a squarefree part of degree {m} over F{p}")
+    return [q for g, d in _distinct_degree(s, p)
+            for q in _equal_degree(g, d, p, rng)]
+
+
+def _fp_factor(f):
+    """[(monic irreducible residue list, multiplicity)] of the univariate
+    polynomial f over F_p: each squarefree part split with one generator
+    seeded per call, so runs repeat exactly."""
+    p = f.ring.field.characteristic
     rng = random.Random(0)
-    factors = {}
-    for s, mult in _squarefree(f, field):
-        m = _deg(s)
-        _check_work(m ** 3 * p.bit_length(),
-                    f"factoring a squarefree part of degree {m} over F{p}")
-        for g, d in _distinct_degree(s, field):
-            for q in _equal_degree(g, d, field, rng):
-                factors[tuple(q)] = mult
-    return factors
+    return [(q, mult) for s, mult in _squarefree(f)
+            for q in _fp_split(s, p, rng)]
 
 
 # Over Q: primitive integer lists, trimmed, lead positive.
@@ -471,30 +480,6 @@ def _z_exquo(a, b):
             for i in range(db):
                 a[k + i] -= c * b[i]
     return q
-
-
-def _z_squarefree(f):
-    """[(primitive squarefree part, multiplicity)] of the univariate
-    polynomial f over Q, by Yun's loop in Z[x]: the gcds are primitive
-    and every division is exact (Gauss's lemma), so each quotient stays
-    primitive with a positive lead."""
-    _check_work(f.total_degree() ** 2, "squarefree decomposition")
-    coeffs = _coeffs(f)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    a = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
-    c = _z_gcd(a, [i * t for i, t in enumerate(a)][1:])
-    w = _z_exquo(a, c)
-    out = []
-    i = 1
-    while len(w) > 1:
-        y = _z_gcd(w, c)
-        z = _z_exquo(w, y)
-        if len(z) > 1:
-            out.append((z, i))
-        w = y
-        c = _z_exquo(c, y)
-        i += 1
-    return out
 
 
 def _divisors(n):
@@ -562,13 +547,12 @@ def univariate_primary_decomposition(I):
         zero = Ideal(ring)
         return Decomposition(I, (PrimaryComponent(zero, zero, VERIFIED),))
     f = gb[0]
-    field = ring.field
     components = []
-    if field.characteristic:
-        for tail, mult in _fp_factor(f, field).items():
-            components.append(_component(ring, tail, mult))
+    if ring.field.characteristic:
+        for q, mult in _fp_factor(f):
+            components.append(_component(ring, q, mult))
     else:
-        for z, mult in _z_squarefree(f):
+        for z, mult in _squarefree(f):
             roots, rest = _z_rational_roots(z)
             for p, q in roots:
                 components.append(_component(ring, (-p, q), mult))
@@ -641,8 +625,7 @@ def radical_ideal(I):
             return Ideal(ring)
         p = ring.field.characteristic
         product = [1]
-        for s, _ in (_squarefree(gb[0], ring.field) if p
-                     else _z_squarefree(gb[0])):
+        for s, _ in _squarefree(gb[0]):
             product = _mul_uni(product, s, p)
         return _principal(ring, product)
     raise UnsupportedClassError("radical outside supported classes")

@@ -19,7 +19,7 @@ from .decomposition import (associated_primes, check_minimal,
 from .fitting import PresentationMatrix, fitting_ideal, graded_matrix_check
 from .grading import GradedRing, GradingGroup, is_g_ideal, star
 from .groebner import Ideal, colon, ideal_sum, intersect
-from .gtheory import (g_associated_primes, g_minimal_primes,
+from .gtheory import (_canon_key, g_associated_primes, g_minimal_primes,
                       g_primary_decomposition, g_radical, is_g_primary,
                       is_g_prime, poset_component, verify_theorem_suite)
 from .oracle import oracle_compare
@@ -119,13 +119,9 @@ def _coarse_torsion_free(rng, ring):
     return GradedRing(ring, group, degs)
 
 
-def _gens_key(I):
-    return tuple(str(g) for g in I.canonical_generators())
-
-
 def _same_prime_sets(left, right):
-    keys_l = sorted(_gens_key(P) for P in left)
-    keys_r = sorted(_gens_key(P) for P in right)
+    keys_l = sorted(_canon_key(P) for P in left)
+    keys_r = sorted(_canon_key(P) for P in right)
     return keys_l == keys_r
 
 
@@ -183,7 +179,7 @@ def _criterion_1(ctx):
     S = star(_q_ideal(ring), _fine(ring))
     ok = S == _q_star(ring)
     return ok, "star(q) = (x^4, x^3*y, x^2*y^3, y^4)" if ok \
-        else f"star(q) = {_gens_key(S)}"
+        else f"star(q) = {_canon_key(S)}"
 
 
 def _criterion_2(ctx):
@@ -242,7 +238,7 @@ def _criterion_5(ctx):
         if not all(checks):
             failures += 1
             if not first:
-                first = f"gens {_gens_key(I)} checks {checks}"
+                first = f"gens {_canon_key(I)} checks {checks}"
     ok = failures == 0
     return ok, f"{len(suite)} instances, {failures} failures" \
         + (f"; first: {first}" if first else "")
@@ -273,7 +269,7 @@ def _criterion_6(ctx):
         except AssertionError as exc:
             failures += 1
             if not first:
-                first = f"gens {_gens_key(I)}: {exc}"
+                first = f"gens {_canon_key(I)}: {exc}"
     ok = failures == 0
     return ok, f"{len(suite)} instances, {failures} failures" \
         + (f"; first: {first}" if first else "")
@@ -311,8 +307,8 @@ def _criterion_8(ctx):
             continue
         d1 = monomial_primary_decomposition(I, split="first")
         d2 = monomial_primary_decomposition(I, split="last")
-        k1 = sorted(_gens_key(c.component) for c in d1.components)
-        k2 = sorted(_gens_key(c.component) for c in d2.components)
+        k1 = sorted(_canon_key(c.component) for c in d1.components)
+        k2 = sorted(_canon_key(c.component) for c in d2.components)
         if k1 == k2:
             continue
         found += 1

@@ -13,9 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grady.decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
-                                 _deg, _divisors, _divmod_uni, _fp_factor,
-                                 _monic_uni, _mul_uni, _trim,
-                                 _z_rational_roots, _z_squarefree,
+                                 _divisors, _fp_divmod, _fp_factor, _fp_gcd,
+                                 _mul_uni, _squarefree, _z_rational_roots,
                                  associated_primes, classical_decomposition,
                                  minimal_primes, monomial_dimension,
                                  monomial_primary_decomposition,
@@ -27,6 +26,41 @@ from grady.poly import GF, QQ, Polynomial, PolynomialRing
 
 def _from_coeffs(ring, coeffs):
     return Polynomial(ring, {(i,): c for i, c in enumerate(coeffs)})
+
+
+# Padded-list helpers for the references below, copied from the kernel
+# they check: zero is [0], and the degree is found by a scan.
+
+def _deg(a):
+    for i in range(len(a) - 1, -1, -1):
+        if a[i] != 0:
+            return i
+    return -1
+
+
+def _trim(a):
+    return a[:_deg(a) + 1]
+
+
+def _divmod_uni(a, b, field):
+    p = field.characteristic
+    a = list(a)
+    db = _deg(b)
+    inv = field.inv(b[db])
+    q = [0] * max(len(a) - db, 1)
+    while _deg(a) >= db:
+        da = _deg(a)
+        c = a[da] * inv % p
+        q[da - db] = c
+        for i in range(db + 1):
+            a[da - db + i] = (a[da - db + i] - c * b[i]) % p
+    return _trim(q) or [0], _trim(a) or [0]
+
+
+def _monic_uni(a, field):
+    p = field.characteristic
+    inv = field.inv(a[_deg(a)])
+    return [c * inv % p for c in a]
 
 
 def _gens(I):
@@ -180,7 +214,8 @@ def _check_factoring(f, p):
     field = GF(p)
     ring = PolynomialRing(field, ("x",))
     with _time_limit(10):
-        factors = _fp_factor(_from_coeffs(ring, f), field)
+        factors = {tuple(q): mult
+                   for q, mult in _fp_factor(_from_coeffs(ring, f))}
     product = [1]
     for q, mult in factors.items():
         assert q[-1] == 1 and len(q) >= 2
@@ -267,6 +302,60 @@ def test_fp_factor_splits_equal_degree_factors(p, factors):
     for q in factors:
         f = _mul(f, q, p)
     assert _check_factoring(f, p) == {tuple(q): 1 for q in factors}
+
+
+def test_high_multiplicity_over_fp_stays_within_budget_time():
+    """Yun's loop runs 1401 levels of division by small divisors; each
+    division costs its quotient's length, not a rescan of the dividend."""
+    R = PolynomialRing(GF(5), ("x",))
+    I = Ideal(R, ["(x - 1)^1401 * (x^2 + 2)^3"])
+    with _time_limit(5):
+        dec = univariate_primary_decomposition(I)
+        radical = radical_ideal(I)
+    assert [c.component for c in dec.components] == [
+        Ideal(R, ["(x + 4)^1401"]), Ideal(R, ["(x^2 + 2)^3"])]
+    assert [_gens(c.radical) for c in dec.components] == [
+        ["x + 4"], ["x^2 + 2"]]
+    assert radical == Ideal(R, ["(x + 4) * (x^2 + 2)"])
+
+
+def _is_trimmed(a):
+    return not a or a[-1] != 0
+
+
+@st.composite
+def _residue_lists(draw):
+    """(p, a, b): trimmed residue lists of degree below 8 over F_p."""
+    p = draw(st.sampled_from(PRIMES))
+    lists = st.lists(st.integers(0, p - 1), max_size=8).map(_trim)
+    return p, draw(lists), draw(lists)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_lists())
+@example((5, [], []))
+@example((2, [1, 1], []))
+@example((7, [3], [0, 0, 5]))
+def test_fp_kernel_on_trimmed_lists(case):
+    """Division with remainder and the monic gcd over F_p keep lists
+    trimmed and agree with the padded reference division."""
+    p, a, b = case
+    field = GF(p)
+    if b:
+        q, r = _fp_divmod(a, b, p)
+        assert _is_trimmed(q) and _is_trimmed(r)
+        assert len(r) < len(b)
+        qb = _mul(q, b, p) if q else []
+        assert _trim([(u + v) % p for u, v in itertools.zip_longest(
+            qb, r, fillvalue=0)]) == a
+        assert [_trim(t) for t in _divmod_uni(a, b, field)] == [q, r]
+    g = _fp_gcd(a, b, p)
+    assert _is_trimmed(g)
+    if not a and not b:
+        assert g == []
+    else:
+        assert g[-1] == 1
+        assert _fp_divmod(a, g, p)[1] == [] and _fp_divmod(b, g, p)[1] == []
 
 
 def test_univariate_over_rationals():
@@ -436,7 +525,7 @@ def test_integer_kernel_matches_fraction_reference(coeffs):
     ring = PolynomialRing(QQ, ("x",))
     f = _from_coeffs(ring, coeffs)
     reference = _ref_squarefree(coeffs)
-    parts = _z_squarefree(f)
+    parts = _squarefree(f)
     assert [([Fraction(c, z[-1]) for c in z], mult)
             for z, mult in parts] == reference
     for (z, _), (ref, _) in zip(parts, reference):
