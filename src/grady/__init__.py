@@ -26,11 +26,25 @@ from .gtheory import (g_associated_primes, g_associated_witness,
                       poset_component, verify_theorem_suite)
 from .fitting import (PresentationMatrix, fitting_ideal, graded_matrix_check,
                       map_entries)
-from .oracle import (OracleVerdict, Subspace, TruncatedSpace, oracle_compare,
-                     truncated_star_basis)
 from .jobs import (Job, JobError, ResultDocument, execute_job, parse_job,
                    render_result, verify_document)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The truncation oracle brings numpy, most of a cold import, so its names
+# load on first access (PEP 562): a job that never reaches the oracle
+# never imports numpy.
+_ORACLE_NAMES = ("OracleVerdict", "Subspace", "TruncatedSpace",
+                 "oracle_compare", "truncated_star_basis")
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        import importlib
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + \
+    ["oracle", *_ORACLE_NAMES]

@@ -32,7 +32,6 @@ from .groebner import (GREVLEX, GroebnerBasis, Ideal, colon, eliminate,
 from .gtheory import (g_associated_primes, g_minimal_primes,
                       g_primary_decomposition, g_radical, is_g_primary,
                       is_g_prime, is_g_radical, verify_theorem_suite)
-from .oracle import oracle_compare
 from .poly import (GF, LEX, QQ, PolyParseError, PolynomialRing,
                    ResourceLimitError, parse_polynomial)
 
@@ -346,7 +345,9 @@ def _eliminate(job, I):
 
 def _oracle_verdict(job, I):
     """Oracle comparison of I against its star, up to the job's
-    degree_bound (oracle_compare's default when absent)."""
+    degree_bound (oracle_compare's default when absent).  The oracle is
+    imported here so that other ops never load numpy."""
+    from .oracle import oracle_compare
     return oracle_compare(I, job.graded, job.options.get("degree_bound"))
 
 

@@ -9,6 +9,7 @@ mutate their arguments.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import add, ge, le, neg, sub
 
 
@@ -262,6 +263,67 @@ def fresh_names(base, count, taken):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Term-dict arithmetic shared by Polynomial and the parser.  Coefficients
+# are reduced mod p when p is set; over Q they may be ints or Fractions.
+
+def _add_terms(out, b, p, sign=1):
+    """Adds sign * b into out, in place, and returns out."""
+    for m, c in b.items():
+        s = out.get(m, 0) + sign * c
+        if p:
+            s %= p
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _mul_terms(a, b, p):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            s = out.get(m, 0) + c1 * c2
+            if p:
+                s %= p
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _square_terms(a, p):
+    """a * a, forming each cross product once."""
+    items = list(a.items())
+    out = {}
+    for i, (m1, c1) in enumerate(items):
+        twice = 2 * c1
+        for m2, c2 in items[i:]:
+            m = tuple(map(add, m1, m2))
+            s = out.get(m, 0) + (c1 if m2 is m1 else twice) * c2
+            if p:
+                s %= p
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _pow_terms(a, n, one, p):
+    """a^n by squaring from the top bit down, so each multiplication by a
+    costs only len(a) per term of the partial power."""
+    result = one
+    for bit in bin(n)[2:]:
+        result = _square_terms(result, p)
+        if bit == "1":
+            result = _mul_terms(result, a, p)
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial: dict of exponent tuple -> coefficient."""
 
@@ -295,17 +357,9 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.constant(other)
         self._check(other)
-        p = self.ring.field.characteristic
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if p:
-                s %= p
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out, _clean=True)
+        return Polynomial(self.ring, _add_terms(
+            dict(self.terms), other.terms, self.ring.field.characteristic),
+            _clean=True)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -324,19 +378,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        p = self.ring.field.characteristic
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                s = out.get(m, 0) + c1 * c2
-                if p:
-                    s %= p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial(self.ring, out, _clean=True)
+        return Polynomial(self.ring, _mul_terms(
+            self.terms, other.terms, self.ring.field.characteristic),
+            _clean=True)
 
     __rmul__ = __mul__
 
@@ -356,14 +400,10 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        ring = self.ring
+        return Polynomial(ring, _pow_terms(self.terms, n, ring.one().terms,
+                                           ring.field.characteristic),
+                          _clean=True)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -510,6 +550,26 @@ def render_polynomial(f):
 #
 # coefficient := integer ('/' natural)?   (the '/' form covers rational
 # coefficients in printed canonical output; over GF(p) it means a*b^{-1}).
+#
+# Every production returns a term dict.  A term gathers its coefficients
+# and variables into one coefficient and one exponent list, so only
+# parenthesized factors are ever multiplied.  Over Q a coefficient stays
+# an int until a '/' makes it a Fraction; the Polynomial built at the end
+# converts the rest.
+#
+# A parenthesized k-term base raised to the n-th power may have up to
+# C(n+k-1, k-1) terms.  Past MAX_POWER_TERMS the power is a parse error
+# before anything is expanded: (x + y)^1499 over Q parses in under a
+# second, and (x - 1)^1401, the largest power in the tests, has 1402.
+MAX_POWER_TERMS = 1500
+
+
+def _check_power(k, n, at):
+    if k > 1 and (n >= MAX_POWER_TERMS
+                  or comb(n + k - 1, k - 1) > MAX_POWER_TERMS):
+        raise PolyParseError(
+            f"a {k}-term polynomial to the power {n} may have more than "
+            f"MAX_POWER_TERMS = {MAX_POWER_TERMS} terms", at)
 
 _SYMBOLS = set("+-*^()/")
 
@@ -526,9 +586,9 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -548,6 +608,7 @@ def _tokenize(text):
 class _Parser:
     def __init__(self, ring, text):
         self.ring = ring
+        self.p = ring.field.characteristic
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -572,70 +633,72 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise PolyParseError(f"trailing input {tok[1]!r}", tok[2])
-        return f
+        return Polynomial(self.ring, f)
 
     def expr(self):
-        negate = False
-        if self.peek()[0] == "-":
+        negate = self.peek()[0] == "-"
+        if negate:
             self.advance()
-            negate = True
         f = self.term()
         if negate:
-            f = -f
+            f = _add_terms({}, f, self.p, -1)
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            g = self.term()
-            f = f + g if op == "+" else f - g
+            sign = 1 if self.advance()[0] == "+" else -1
+            f = _add_terms(f, self.term(), self.p, sign)
         return f
 
     def term(self):
-        f = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            f = f * self.factor()
-        return f
-
-    def factor(self):
-        f = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("int")
-            f = f ** int(tok[1])
-        return f
-
-    def base(self):
-        tok = self.advance()
-        kind, text, at = tok
-        if kind == "int":
-            value = self.ring.field.from_int(int(text))
-            if self.peek()[0] == "/":
+        p = self.p
+        coeff, exps, product = 1, [0] * self.ring.nvars, None
+        while True:
+            kind, text, at = self.advance()
+            if kind == "int":
+                value = int(text)
+                if self.peek()[0] == "/":
+                    self.advance()
+                    den = int(self.expect("int")[1])
+                    if (den % p if p else den) == 0:
+                        raise PolyParseError("zero denominator", at)
+                    value = value * pow(den, -1, p) if p \
+                        else Fraction(value, den)
+            elif kind == "name":
+                try:
+                    i = self.ring.variable_index(text)
+                except KeyError:
+                    raise PolyParseError(
+                        f"unknown variable {text!r}", at) from None
+            elif kind == "(":
+                f = self.expr()
+                self.expect(")")
+            else:
+                raise PolyParseError(
+                    f"expected a coefficient, variable or '(', found "
+                    f"{text or 'end of input'!r}", at)
+            # reject juxtaposition like '2x' or 'x y' early for a clear message
+            nxt = self.peek()
+            if nxt[0] in ("int", "name"):
+                raise PolyParseError(
+                    f"missing operator before {nxt[1]!r}", nxt[2])
+            n = 1
+            if nxt[0] == "^":
                 self.advance()
-                den = int(self.expect("int")[1])
-                if self.ring.field.from_int(den) == self.ring.field.zero:
-                    raise PolyParseError("zero denominator", at)
-                value = value * self.ring.field.inv(
-                    self.ring.field.from_int(den))
-            f = Polynomial(self.ring,
-                           {(0,) * self.ring.nvars: value})
-        elif kind == "name":
-            try:
-                i = self.ring.variable_index(text)
-            except KeyError:
-                raise PolyParseError(f"unknown variable {text!r}", at) from None
-            f = self.ring.gen(i)
-        elif kind == "(":
-            f = self.expr()
-            self.expect(")")
-        else:
-            raise PolyParseError(
-                f"expected a coefficient, variable or '(', found "
-                f"{text or 'end of input'!r}", at)
-        # reject juxtaposition like '2x' or 'x y' early for a clear message
-        nxt = self.peek()
-        if nxt[0] in ("int", "name"):
-            raise PolyParseError(
-                f"missing operator before {nxt[1]!r}", nxt[2])
-        return f
+                _, text, at = self.expect("int")
+                n = int(text)
+                if kind == "(":
+                    _check_power(len(f), n, at)
+                    f = _pow_terms(f, n, {(0,) * self.ring.nvars: 1}, p)
+            if kind == "int":
+                coeff = coeff * pow(value, n, p) % p if p \
+                    else coeff * value ** n
+            elif kind == "name":
+                exps[i] += n
+            else:
+                product = f if product is None else _mul_terms(product, f, p)
+            if self.peek()[0] != "*":
+                break
+            self.advance()
+        mono = {tuple(exps): coeff} if coeff else {}
+        return mono if product is None else _mul_terms(product, mono, p)
 
 
 def parse_polynomial(text, ring):

@@ -3,7 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +265,87 @@ def test_assumed_component_mismatch_is_a_typed_refusal(tmp_path, capsys, op):
     checks = {c["name"]: c["status"] for c in theorems["checks"]}
     assert code == 0 and theorems["status"] == "unsupported"
     assert checks["g-ass-equals-g-min-iff-classical"] == "unsupported"
+
+
+@pytest.mark.parametrize("generator, position", [
+    ("x^\u00b2", 2), ("\u00b2", 0), ("x^\u0661\u0662", 2)])
+def test_non_ascii_digits_are_input_errors(tmp_path, capsys, generator,
+                                           position):
+    code = cli.main(["run", _write_job(tmp_path,
+                                       _decompose_doc("Q", generator))])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out)["payload"]["detail"] == (
+        f"ideals.I[0]: unexpected character {generator[position]!r} "
+        f"(at position {position})")
+
+
+@pytest.mark.parametrize("generator", ["(x+y)^100000", "(x+y+1)^3000"])
+def test_power_over_budget_is_an_input_error(tmp_path, capsys, generator):
+    doc = _decompose_doc("Q", generator)
+    doc["ring"]["vars"] = ["x", "y"]
+    start = time.perf_counter()
+    code = cli.main(["run", _write_job(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    detail = json.loads(out)["payload"]["detail"]
+    assert code == 2 and "Traceback" not in err
+    assert detail.startswith("ideals.I[0]: ")
+    assert "MAX_POWER_TERMS = 1500" in detail
+
+
+_COLD_IMPORT = """
+import json, sys
+import grady.cli as cli
+for path in sys.argv[1:]:
+    assert cli.main(["run", path]) == 0, path
+    assert "numpy" not in sys.modules, path
+import grady
+from grady import oracle_compare
+assert "numpy" in sys.modules and oracle_compare is grady.oracle.oracle_compare
+print(json.dumps(sorted(grady.__all__)), file=sys.stderr)
+"""
+
+
+def test_numpy_loads_only_with_the_oracle(tmp_path):
+    """A cold `grady run` of a job that never reaches the oracle does not
+    import numpy; the oracle's names still load on first access."""
+    paths = []
+    for op, gens in (("star", ["x^4", "x^3*y", "x^2*y^2+x*y^3", "y^4"]),
+                     ("gdecomp", ["x^2*y", "y^3"]),
+                     ("decompose", ["x^2*y", "y^3"])):
+        doc = json.loads(json.dumps(STAR_JOB))
+        doc["ideals"] = {"I": gens}
+        doc["command"] = {"op": op, "args": ["I"]}
+        paths.append(_write_job(tmp_path, doc, f"{op}.json"))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT, *paths],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [
+        "Decomposition", "GF", "GREVLEX", "GradedRing", "GradingGroup",
+        "GroebnerBasis", "Hdeg", "Ideal", "Job", "JobError", "LEX",
+        "OracleVerdict", "PolyParseError", "Polynomial", "PolynomialRing",
+        "PresentationMatrix", "PrimaryComponent", "QQ", "ResourceLimitError",
+        "ResultDocument", "RingMismatchError", "Subspace", "TermOrder",
+        "TruncatedSpace", "UnsupportedClassError", "associated_primes",
+        "buchberger", "classical_decomposition", "colon", "decomposition",
+        "degree_of", "eliminate", "exact_quotient", "execute_job", "fitting",
+        "fitting_ideal", "g_associated_primes", "g_associated_witness",
+        "g_minimal_primes", "g_primary_decomposition", "g_radical",
+        "graded_matrix_check", "grading", "groebner", "gtheory",
+        "homogeneous_components", "ideal_power", "ideal_product",
+        "ideal_sum", "intersect", "intersect_all", "is_g_ideal",
+        "is_g_primary", "is_g_prime", "is_g_radical", "is_homogeneous",
+        "jobs", "map_entries", "minimal_primes", "monomial_dimension",
+        "monomial_primary_decomposition", "monomial_radical", "oracle",
+        "oracle_compare", "parse_job", "parse_polynomial", "poly",
+        "poset_component", "radical_ideal", "radical_membership",
+        "render_result", "saturate", "saturate_ideal", "star",
+        "truncated_star_basis", "univariate_primary_decomposition",
+        "verify_document", "verify_theorem_suite"]
 
 
 def test_verify_exit_zero(tmp_path, capsys):

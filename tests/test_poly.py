@@ -1,13 +1,14 @@
 """Field arithmetic, monomial helpers, parsing and printing."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grady.poly import (GF, GREVLEX, LEX, QQ, PolyParseError, PolynomialRing,
-                        TermOrder, mono_div, mono_divides, mono_gcd, mono_lcm,
+from grady.poly import (GF, GREVLEX, LEX, MAX_POWER_TERMS, QQ, PolyParseError,
+                        PolynomialRing, TermOrder, mono_div, mono_divides, mono_gcd, mono_lcm,
                         mono_mul, parse_polynomial)
 
 
@@ -221,3 +222,200 @@ def test_leading_term_multiplicative(f, g):
         return
     assert (f * g).leading_monomial(GREVLEX) == \
         mono_mul(f.leading_monomial(GREVLEX), g.leading_monomial(GREVLEX))
+
+
+# ---------------------------------------------------------------------------
+# The parser against a reference built from Polynomial arithmetic.  An
+# expression is generated as a tree following the grammar in poly.py, then
+# printed and parsed, and separately evaluated with +, -, * and a power
+# taken as repeated multiplication.  The reference refuses a power past
+# MAX_POWER_TERMS as the parser does, so both refuse the same inputs.
+
+_VARS = ("x", "y")
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _exprs(depth=2):
+    den = st.sampled_from([None, 1, 2, 3, 4, 6, 7, 9])    # never 0 mod 5
+    base = st.builds(lambda n, d: ("num", n, d), st.integers(0, 40), den) \
+        | st.builds(lambda v: ("var", v), st.sampled_from(_VARS))
+    if depth:
+        base |= st.builds(lambda e: ("paren", e), _exprs(depth - 1))
+    factor = base | st.builds(lambda b, n: ("pow", b, n), base,
+                              st.integers(0, 3))
+    term = st.lists(factor, min_size=1, max_size=2).map(lambda fs: ("mul", fs))
+    return st.builds(
+        lambda neg, head, rest: ("sum", neg, [("+", head)] + rest),
+        st.booleans(), term,
+        st.lists(st.tuples(st.sampled_from("+-"), term), max_size=2))
+
+
+def _render(node):
+    kind = node[0]
+    if kind == "num":
+        _, n, d = node
+        return str(n) if d is None else f"{n}/{d}"
+    if kind == "var":
+        return node[1]
+    if kind == "paren":
+        return f"({_render(node[1])})"
+    if kind == "pow":
+        return f"{_render(node[1])}^{node[2]}"
+    if kind == "mul":
+        return "*".join(map(_render, node[1]))
+    _, neg, parts = node
+    text = "-" if neg else ""
+    for i, (op, t) in enumerate(parts):
+        text += (f" {op} " if i else "") + _render(t)
+    return text
+
+
+def _evaluate(node, ring):
+    kind = node[0]
+    if kind == "num":
+        _, n, d = node
+        c = ring.constant(n)
+        return c if d is None else c * ring.field.inv(ring.field.from_int(d))
+    if kind == "var":
+        return ring.gen(node[1])
+    if kind == "paren":
+        return _evaluate(node[1], ring)
+    if kind == "pow":
+        f, n, out = _evaluate(node[1], ring), node[2], ring.one()
+        k = len(f.terms)
+        if node[1][0] == "paren" and k > 1 and \
+                math.comb(n + k - 1, k - 1) > MAX_POWER_TERMS:
+            raise _OverBudget
+        for _ in range(n):
+            out = out * f
+        return out
+    if kind == "mul":
+        out = ring.one()
+        for f in node[1]:
+            out = out * _evaluate(f, ring)
+        return out
+    _, neg, parts = node
+    out = ring.zero()
+    for i, (op, t) in enumerate(parts):
+        f = _evaluate(t, ring)
+        if i == 0 and neg:
+            f = -f
+        out = out + f if op == "+" else out - f
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(), st.sampled_from([0, 5, 32003]))
+def test_parser_matches_polynomial_arithmetic(tree, p):
+    ring = PolynomialRing(GF(p) if p else QQ, _VARS)
+    text = _render(tree)
+    try:
+        want = _evaluate(tree, ring)
+    except _OverBudget:
+        with pytest.raises(PolyParseError, match="MAX_POWER_TERMS"):
+            parse_polynomial(text, ring)
+        return
+    f = parse_polynomial(text, ring)
+    assert f == want, text
+    for c in f.terms.values():
+        assert type(c) is (int if p else Fraction)
+        assert 0 < c < p if p else c
+
+
+_MALFORMED = [
+    (0, '', "expected a coefficient, variable or '(', found 'end of input'", 0),
+    (0, '   ', "expected a coefficient, variable or '(', found 'end of input'", 3),
+    (0, 'x +', "expected a coefficient, variable or '(', found 'end of input'", 3),
+    (0, 'x ++ y', "expected a coefficient, variable or '(', found '+'", 3),
+    (0, '2x', "missing operator before 'x'", 1),
+    (0, 'x y', "missing operator before 'y'", 2),
+    (0, 'x 2', "missing operator before '2'", 2),
+    (0, '(x + y', "expected ')', found 'end of input'", 6),
+    (0, 'x + y)', "trailing input ')'", 5),
+    (0, 'x^', "expected 'int', found 'end of input'", 2),
+    (0, 'x^y', "expected 'int', found 'y'", 2),
+    (0, 'x^-1', "expected 'int', found '-'", 2),
+    (0, 'x^2^3', "trailing input '^'", 3),
+    (0, 'x^2 3', "trailing input '3'", 4),
+    (0, 'z', "unknown variable 'z'", 0),
+    (0, 'x + z^2', "unknown variable 'z'", 4),
+    (0, '1/0', 'zero denominator', 0),
+    (0, '1/x', "expected 'int', found 'x'", 2),
+    (0, '3/', "expected 'int', found 'end of input'", 2),
+    (0, '3/-1', "expected 'int', found '-'", 2),
+    (0, 'x*', "expected a coefficient, variable or '(', found 'end of input'", 2),
+    (0, '*x', "expected a coefficient, variable or '(', found '*'", 0),
+    (0, '--x', "expected a coefficient, variable or '(', found '-'", 1),
+    (0, '- -x', "expected a coefficient, variable or '(', found '-'", 2),
+    (0, 'x $ y', "unexpected character '$'", 2),
+    (0, '()', "expected a coefficient, variable or '(', found ')'", 1),
+    (0, '(x)(y)', "trailing input '('", 3),
+    (0, '1/2/3', "trailing input '/'", 3),
+    (0, 'x^(2)', "expected 'int', found '('", 2),
+    (0, '(x+1)^2 y', "trailing input 'y'", 8),
+    (0, '((x)', "expected ')', found 'end of input'", 4),
+    (0, 'x**2', "expected a coefficient, variable or '(', found '*'", 2),
+    (0, 'x.5', "unexpected character '.'", 1),
+    (0, '2,5', "unexpected character ','", 1),
+    (0, 'x+y+', "expected a coefficient, variable or '(', found 'end of input'", 4),
+    (0, '(', "expected a coefficient, variable or '(', found 'end of input'", 1),
+    (0, ')', "expected a coefficient, variable or '(', found ')'", 0),
+    (0, 'x - (y *)', "expected a coefficient, variable or '(', found ')'", 8),
+    (0, '3 / 0', 'zero denominator', 0),
+    (0, '0/0', 'zero denominator', 0),
+    (0, 'x^ 2 2', "trailing input '2'", 5),
+    (0, '1/0 $', "unexpected character '$'", 4),
+    (0, 'z + 1/0', "unknown variable 'z'", 0),
+    (0, 'x²', "unknown variable 'x²'", 0),
+    (0, '(x + y)^2 * z', "unknown variable 'z'", 12),
+    (0, '2*(x - 1/0)', 'zero denominator', 7),
+    (5, '1/5', 'zero denominator', 0),
+    (5, '2/10', 'zero denominator', 0),
+    (5, 'x + 3/15', 'zero denominator', 4),
+    (5, 'x/5', "trailing input '/'", 1),
+    (5, '(x + y)^3 * 1/5', 'zero denominator', 12),
+]
+
+
+@pytest.mark.parametrize("p, text, message, position", _MALFORMED)
+def test_malformed_input_messages_are_pinned(p, text, message, position):
+    ring = PolynomialRing(GF(p) if p else QQ, ("x", "y"))
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial(text, ring)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x^\u00b2", 2), ("\u00b2", 0), ("2\u00b2", 1),
+    ("x^\u0661\u0662", 2), ("x + \uff11", 4)])
+def test_integers_are_ascii_digits(text, position):
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial(text, PolynomialRing(QQ, ("x",)))
+    assert str(err.value) == \
+        f"unexpected character {text[position]!r} (at position {position})"
+
+
+def test_power_term_budget():
+    """A parenthesized k-term base to the n-th power may reach
+    C(n+k-1, k-1) terms; past MAX_POWER_TERMS it is refused before it is
+    expanded.  Monomial bases are never expanded and stay unbounded."""
+    assert MAX_POWER_TERMS == 1500
+    ring = PolynomialRing(QQ, ("x", "y", "z"))
+    assert len(parse_polynomial("(x + y)^1499", ring).terms) == 1500
+    assert len(parse_polynomial("(x + y + z)^53", ring).terms) == 1485
+    for text, position in (("(x + y)^1500", 8), ("(x + y + z)^54", 12),
+                           ("x*(x + y + 1)^3000", 14),
+                           ("(x + y)^100000", 8)):
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, ring)
+        assert "MAX_POWER_TERMS = 1500" in str(err.value)
+        assert err.value.position == position
+    assert parse_polynomial("(2*x*y)^20000 + x^20000", ring) == \
+        ring.monomial((20000, 20000, 0), QQ.from_int(2 ** 20000)) + \
+        ring.monomial((20000, 0, 0))
+    assert parse_polynomial("(x + y - y)^20000", ring) == \
+        ring.monomial((20000, 0, 0))
