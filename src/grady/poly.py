@@ -565,11 +565,13 @@ MAX_POWER_TERMS = 1500
 
 
 def _check_power(k, n, at):
+    # With k > 1 the count is at least n + 1, so a huge n never reaches comb.
     if k > 1 and (n >= MAX_POWER_TERMS
                   or comb(n + k - 1, k - 1) > MAX_POWER_TERMS):
         raise PolyParseError(
             f"a {k}-term polynomial to the power {n} may have more than "
             f"MAX_POWER_TERMS = {MAX_POWER_TERMS} terms", at)
+
 
 _SYMBOLS = set("+-*^()/")
 
@@ -586,6 +588,7 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
+        # ASCII digits only: str.isdigit also takes '²', which int() refuses
         if "0" <= ch <= "9":
             j = i
             while j < n and "0" <= text[j] <= "9":

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grady.poly import (GF, GREVLEX, LEX, MAX_POWER_TERMS, QQ, PolyParseError,
-                        PolynomialRing, TermOrder, mono_div, mono_divides, mono_gcd, mono_lcm,
-                        mono_mul, parse_polynomial)
+                        PolynomialRing, TermOrder, mono_div, mono_divides,
+                        mono_gcd, mono_lcm, mono_mul, parse_polynomial)
 
 
 def _accepts(n):
@@ -326,9 +326,12 @@ def test_parser_matches_polynomial_arithmetic(tree, p):
 
 
 _MALFORMED = [
-    (0, '', "expected a coefficient, variable or '(', found 'end of input'", 0),
-    (0, '   ', "expected a coefficient, variable or '(', found 'end of input'", 3),
-    (0, 'x +', "expected a coefficient, variable or '(', found 'end of input'", 3),
+    (0, '',
+     "expected a coefficient, variable or '(', found 'end of input'", 0),
+    (0, '   ',
+     "expected a coefficient, variable or '(', found 'end of input'", 3),
+    (0, 'x +',
+     "expected a coefficient, variable or '(', found 'end of input'", 3),
     (0, 'x ++ y', "expected a coefficient, variable or '(', found '+'", 3),
     (0, '2x', "missing operator before 'x'", 1),
     (0, 'x y', "missing operator before 'y'", 2),
@@ -346,7 +349,8 @@ _MALFORMED = [
     (0, '1/x', "expected 'int', found 'x'", 2),
     (0, '3/', "expected 'int', found 'end of input'", 2),
     (0, '3/-1', "expected 'int', found '-'", 2),
-    (0, 'x*', "expected a coefficient, variable or '(', found 'end of input'", 2),
+    (0, 'x*',
+     "expected a coefficient, variable or '(', found 'end of input'", 2),
     (0, '*x', "expected a coefficient, variable or '(', found '*'", 0),
     (0, '--x', "expected a coefficient, variable or '(', found '-'", 1),
     (0, '- -x', "expected a coefficient, variable or '(', found '-'", 2),
@@ -360,8 +364,10 @@ _MALFORMED = [
     (0, 'x**2', "expected a coefficient, variable or '(', found '*'", 2),
     (0, 'x.5', "unexpected character '.'", 1),
     (0, '2,5', "unexpected character ','", 1),
-    (0, 'x+y+', "expected a coefficient, variable or '(', found 'end of input'", 4),
-    (0, '(', "expected a coefficient, variable or '(', found 'end of input'", 1),
+    (0, 'x+y+',
+     "expected a coefficient, variable or '(', found 'end of input'", 4),
+    (0, '(',
+     "expected a coefficient, variable or '(', found 'end of input'", 1),
     (0, ')', "expected a coefficient, variable or '(', found ')'", 0),
     (0, 'x - (y *)', "expected a coefficient, variable or '(', found ')'", 8),
     (0, '3 / 0', 'zero denominator', 0),
