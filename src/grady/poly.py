@@ -9,7 +9,7 @@ mutate their arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import add, ge, le, neg, sub
 
 
@@ -267,10 +267,11 @@ def fresh_names(base, count, taken):
 # Term-dict arithmetic shared by Polynomial and the parser.  Coefficients
 # are reduced mod p when p is set; over Q they may be ints or Fractions.
 
-def _add_terms(out, b, p, sign=1):
-    """Adds sign * b into out, in place, and returns out."""
+def _add_terms(out, b, p, op=add):
+    """Combines b into out term by term with op (add or sub), in place, and
+    returns out."""
     for m, c in b.items():
-        s = out.get(m, 0) + sign * c
+        s = op(out.get(m, 0), c)
         if p:
             s %= p
         if s:
@@ -364,7 +365,10 @@ class Polynomial:
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.ring.constant(other)
-        return self + (-other)
+        self._check(other)
+        return Polynomial(self.ring, _add_terms(
+            dict(self.terms), other.terms, self.ring.field.characteristic,
+            sub), _clean=True)
 
     def __neg__(self):
         p = self.ring.field.characteristic
@@ -557,20 +561,41 @@ def render_polynomial(f):
 # an int until a '/' makes it a Fraction; the Polynomial built at the end
 # converts the rest.
 #
-# A parenthesized k-term base raised to the n-th power may have up to
-# C(n+k-1, k-1) terms.  Past MAX_POWER_TERMS the power is a parse error
-# before anything is expanded: (x + y)^1499 over Q parses in under a
-# second, and (x - 1)^1401, the largest power in the tests, has 1402.
+# A parenthesized k-term base f raised to the n-th power has at most
+# C(n+k-1, k-1) terms, and at most the product over the variables of
+# n*s + 1, where s is the spread (largest minus smallest exponent) of the
+# variable in f.  A product f*g of parenthesized factors has at most
+# len(f)*len(g) terms, and at most the product of s(f) + s(g) + 1.  Past
+# MAX_POWER_TERMS either is a parse error before anything is expanded:
+# (x + y)^1499 over Q parses in under a second, and (x - 1)^1401, the
+# largest power in the tests, has 1402 terms.
 MAX_POWER_TERMS = 1500
 
 
-def _check_power(k, n, at):
-    # With k > 1 the count is at least n + 1, so a huge n never reaches comb.
-    if k > 1 and (n >= MAX_POWER_TERMS
-                  or comb(n + k - 1, k - 1) > MAX_POWER_TERMS):
+def _spreads(f):
+    return [max(e) - min(e) for e in zip(*f)]
+
+
+def _check_terms(count, spreads, what, at):
+    if min(count, prod(s + 1 for s in spreads)) > MAX_POWER_TERMS:
         raise PolyParseError(
-            f"a {k}-term polynomial to the power {n} may have more than "
-            f"MAX_POWER_TERMS = {MAX_POWER_TERMS} terms", at)
+            f"{what} may have more than MAX_POWER_TERMS = {MAX_POWER_TERMS} "
+            f"terms", at)
+
+
+def _check_power(f, n, at):
+    k = len(f)
+    if k > 1:
+        # both bounds are at least n + 1, so a huge n never reaches comb
+        count = comb(n + k - 1, k - 1) if n < MAX_POWER_TERMS else n + 1
+        _check_terms(count, [n * s for s in _spreads(f)],
+                     f"a {k}-term polynomial to the power {n}", at)
+
+
+def _check_product(f, g, at):
+    _check_terms(len(f) * len(g), map(add, _spreads(f), _spreads(g)),
+                 f"a product of {len(f)}-term and {len(g)}-term polynomials",
+                 at)
 
 
 _SYMBOLS = set("+-*^()/")
@@ -644,10 +669,10 @@ class _Parser:
             self.advance()
         f = self.term()
         if negate:
-            f = _add_terms({}, f, self.p, -1)
+            f = _add_terms({}, f, self.p, sub)
         while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.advance()[0] == "+" else -1
-            f = _add_terms(f, self.term(), self.p, sign)
+            op = add if self.advance()[0] == "+" else sub
+            f = _add_terms(f, self.term(), self.p, op)
         return f
 
     def term(self):
@@ -685,18 +710,21 @@ class _Parser:
             n = 1
             if nxt[0] == "^":
                 self.advance()
-                _, text, at = self.expect("int")
+                _, text, n_at = self.expect("int")
                 n = int(text)
                 if kind == "(":
-                    _check_power(len(f), n, at)
+                    _check_power(f, n, n_at)
                     f = _pow_terms(f, n, {(0,) * self.ring.nvars: 1}, p)
             if kind == "int":
                 coeff = coeff * pow(value, n, p) % p if p \
                     else coeff * value ** n
             elif kind == "name":
                 exps[i] += n
+            elif product is None:
+                product = f
             else:
-                product = f if product is None else _mul_terms(product, f, p)
+                _check_product(product, f, at)
+                product = _mul_terms(product, f, p)
             if self.peek()[0] != "*":
                 break
             self.advance()

@@ -1,6 +1,7 @@
 """Field arithmetic, monomial helpers, parsing and printing."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -228,14 +229,31 @@ def test_leading_term_multiplicative(f, g):
 # The parser against a reference built from Polynomial arithmetic.  An
 # expression is generated as a tree following the grammar in poly.py, then
 # printed and parsed, and separately evaluated with +, -, * and a power
-# taken as repeated multiplication.  The reference refuses a power past
-# MAX_POWER_TERMS as the parser does, so both refuse the same inputs.
+# taken as repeated multiplication.  The reference refuses a power or a
+# product of parenthesized factors past MAX_POWER_TERMS as the parser
+# does, so both refuse the same inputs.
 
 _VARS = ("x", "y")
 
 
 class _OverBudget(Exception):
     pass
+
+
+def _budget(count, fs, weights):
+    """Refuses a result bounded by count terms and, in each variable, by
+    the weighted exponent spreads of the factors fs, past the budget."""
+    spread_bound = 1
+    for i in range(len(_VARS)):
+        spread_bound *= 1 + sum(
+            w * (max(m[i] for m in f.terms) - min(m[i] for m in f.terms))
+            for f, w in zip(fs, weights) if f.terms)
+    if min(count, spread_bound) > MAX_POWER_TERMS:
+        raise _OverBudget
+
+
+def _parenthesized(node):
+    return node[0] == "paren" or node[0] == "pow" and node[1][0] == "paren"
 
 
 def _exprs(depth=2):
@@ -286,16 +304,21 @@ def _evaluate(node, ring):
     if kind == "pow":
         f, n, out = _evaluate(node[1], ring), node[2], ring.one()
         k = len(f.terms)
-        if node[1][0] == "paren" and k > 1 and \
-                math.comb(n + k - 1, k - 1) > MAX_POWER_TERMS:
-            raise _OverBudget
+        if node[1][0] == "paren" and k > 1:
+            _budget(math.comb(n + k - 1, k - 1), [f], [n])
         for _ in range(n):
             out = out * f
         return out
     if kind == "mul":
-        out = ring.one()
-        for f in node[1]:
-            out = out * _evaluate(f, ring)
+        out, product = ring.one(), None
+        for factor in node[1]:
+            f = _evaluate(factor, ring)
+            if _parenthesized(factor):
+                if product is not None:
+                    _budget(len(product.terms) * len(f.terms),
+                            [product, f], [1, 1])
+                product = f if product is None else product * f
+            out = out * f
         return out
     _, neg, parts = node
     out = ring.zero()
@@ -406,22 +429,52 @@ def test_integers_are_ascii_digits(text, position):
 
 
 def test_power_term_budget():
-    """A parenthesized k-term base to the n-th power may reach
-    C(n+k-1, k-1) terms; past MAX_POWER_TERMS it is refused before it is
-    expanded.  Monomial bases are never expanded and stay unbounded."""
+    """A parenthesized k-term base f to the n-th power has at most
+    C(n+k-1, k-1) terms, and at most the product over the variables of
+    n * spread + 1; a product f*g of parenthesized factors at most
+    len(f)*len(g) and the product of the summed spreads + 1.  Past
+    MAX_POWER_TERMS either is refused before it is expanded.  Monomial
+    bases are never expanded and stay unbounded."""
     assert MAX_POWER_TERMS == 1500
     ring = PolynomialRing(QQ, ("x", "y", "z"))
-    assert len(parse_polynomial("(x + y)^1499", ring).terms) == 1500
-    assert len(parse_polynomial("(x + y + z)^53", ring).terms) == 1485
-    for text, position in (("(x + y)^1500", 8), ("(x + y + z)^54", 12),
-                           ("x*(x + y + 1)^3000", 14),
-                           ("(x + y)^100000", 8)):
+    for text, count in (("(x + y)^1499", 1500), ("(x + y + z)^53", 1485),
+                        ("(x^2 + x + 1)^54", 109),
+                        ("(x^3 + x^2 + x + 1)^19", 58),
+                        ("(x*y^2 + x^2*y)^1000", 1001),
+                        ("(x - 1)^749*(x + 1)^750", 1500),
+                        ("(x + y)^20*(x - y)^20", 21)):
+        assert len(parse_polynomial(text, ring).terms) == count, text
+    for text, position, message in (
+            ("(x + y)^1500", 8, "a 2-term polynomial to the power 1500"),
+            ("(x + y + z)^54", 12, "a 3-term polynomial to the power 54"),
+            ("(x^2 + x + 1)^750", 14, "a 3-term polynomial to the power 750"),
+            ("x*(x + y + 1)^3000", 14, "a 3-term polynomial to the power 3000"),
+            ("(x + y)^100000", 8, "a 2-term polynomial to the power 100000"),
+            ("(x - 1)^750*(x + 1)^750", 12,
+             "a product of 751-term and 751-term polynomials"),
+            ("2*(x + y + z)^53*(x + y + z)^53*(x + y + z)^53", 17,
+             "a product of 1485-term and 1485-term polynomials")):
         with pytest.raises(PolyParseError) as err:
             parse_polynomial(text, ring)
-        assert "MAX_POWER_TERMS = 1500" in str(err.value)
-        assert err.value.position == position
+        assert str(err.value) == \
+            f"{message} may have more than MAX_POWER_TERMS = 1500 terms " \
+            f"(at position {position})"
     assert parse_polynomial("(2*x*y)^20000 + x^20000", ring) == \
         ring.monomial((20000, 20000, 0), QQ.from_int(2 ** 20000)) + \
         ring.monomial((20000, 0, 0))
     assert parse_polynomial("(x + y - y)^20000", ring) == \
         ring.monomial((20000, 0, 0))
+
+
+def _cpu_seconds(text, ring):
+    start = time.process_time()
+    parse_polynomial(text, ring)
+    return time.process_time() - start
+
+
+def test_largest_two_term_power_parses_within_a_second():
+    """The budget is set so that the largest two-term power it accepts
+    over Q expands in under a second of CPU time; this rests on squaring
+    by _square_terms, which forms each cross product once."""
+    ring = PolynomialRing(QQ, ("x", "y"))
+    assert any(_cpu_seconds("(x + y)^1499", ring) < 1 for _ in range(3))
