@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .groebner import (GREVLEX, Ideal, _monomial_ideal, _monomial_meet,
-                       _monomial_min_gens, _monomial_radical, _primed,
-                       intersect, intersect_all)
+from .groebner import (GREVLEX, Ideal, _monomial_ideal, _monomial_le,
+                       _monomial_meet, _monomial_min_gens, _monomial_radical,
+                       _published, intersect, intersect_all)
 from .poly import Polynomial, ResourceLimitError
 
 
@@ -147,23 +147,33 @@ def _irreducible_split(gens, split):
 def monomial_primary_decomposition(I, split="first"):
     """Minimal primary decomposition via recursive splitting.
 
-    Pipeline: split to irreducibles, intersect the ones sharing a radical
-    into a single primary component, then prune redundant components.
-    Redundant irreducibles are deliberately merged before pruning, so the
-    two split orders can surface distinct legal decompositions.
+    Pipeline: split to irreducibles, then intersect the ones sharing a
+    radical into one primary component, for the radicals in Ass(I) only.
+    Redundant irreducibles are merged too, so the two split orders can
+    surface distinct legal decompositions.
+
+    Ass(I) is read off the leaves (Miller and Sturmfels 2005, ch. 5).  If
+    J = (x_i^{a_i}) contains the meet of monomial ideals A and B, it
+    contains A or B: for a in A and b in B, lcm(a, b) lies in J, so a or
+    b reaches some a_i in x_i and lies in J.  So the leaves minimal under
+    inclusion are I's unique irredundant irreducible decomposition, with
+    supports Ass(I); and as the merged components have distinct radicals,
+    the first uniqueness theorem makes every irredundant subfamily of
+    them (so what a drop-one pass keeps, in any order) those on Ass(I).
     """
     if I.is_unit:
         raise ValueError("unit ideal has no primary decomposition")
     ring = I.ring
-    gens = I.monomial_generators()
+    leaves = _irreducible_split(I.monomial_generators(), split)
     groups = {}         # the zero ideal splits to one empty component
-    for comp in _irreducible_split(gens, split):
-        sup = tuple(sorted({i for m in comp for i in _support(m)}))
-        groups.setdefault(sup, []).append(comp)
-
-    merged = [reduce(_monomial_meet, groups[sup])
-              for sup in sorted(groups, key=lambda sup: (len(sup), sup))]
-    kept = [merged[i] for i in _irredundant(merged, gens, _monomial_meet)]
+    ass = set()
+    for q in leaves:
+        sup = tuple(sorted({i for m in q for i in _support(m)}))
+        groups.setdefault(sup, []).append(q)
+        if not any(r != q and _monomial_le(r, q) for r in leaves):
+            ass.add(sup)
+    kept = [reduce(_monomial_meet, groups[sup])
+            for sup in sorted(ass, key=lambda sup: (len(sup), sup))]
     return Decomposition(I, tuple(PrimaryComponent(
         _monomial_ideal(ring, q), _monomial_ideal(ring, _monomial_radical(q)),
         VERIFIED) for q in kept))
@@ -224,8 +234,8 @@ def _coeffs(f):
 
 def _principal(ring, a, mult=1):
     """The ideal (a^mult) of the dense list a (integers over Q, residues
-    over F_p), primed with its monic generator, whose terms descend as
-    in a reduced basis."""
+    over F_p), published with its monic generator, whose terms descend
+    as in a reduced basis."""
     p = ring.field.characteristic
     g = [1]
     for _ in range(mult):
@@ -238,7 +248,8 @@ def _principal(ring, a, mult=1):
     else:
         terms = {(i,): Fraction(c, lead)
                  for i, c in reversed(list(enumerate(g))) if c}
-    return _primed(ring, [Polynomial(ring, terms, _clean=True)])
+    return _published(ring, [Polynomial(ring, terms, _clean=True)],
+                      [(len(g) - 1,)])
 
 
 def _component(ring, base, mult, status=VERIFIED):

@@ -14,17 +14,18 @@ every published generator list is sorted, so identical inputs give identical
 output bytes.
 
 Published bases: a result whose reduced monic grevlex basis is already at
-hand carries it (_primed), so Buchberger never rebuilds it.  Monomial
-ideals stay exponent tuples, their minimal generators ascending in
-grevlex, while the kernel at the end of this module works on them;
-decomposition and gtheory fold and compare such tuples too, and build
-an Ideal (_monomial_ideal, primed from the tuples) only for a result
-they publish.  eliminate primes the slice of its reduced
-elimination basis free of the eliminated variables: the block order is
-grevlex there and the whole basis is reduced, so the slice is the
-reduced grevlex basis of the elimination ideal; _restrict carries it to
-the small ring for intersect, saturation and star.  Priming never
-changes the order of an ideal's generators.
+hand carries it (_primed, or _published when the basis is ascending and
+its leads are known), so Buchberger never rebuilds it.  Monomial ideals
+stay exponent tuples, their minimal generators ascending in grevlex,
+while the kernel at the end of this module works on them; decomposition
+and gtheory fold and compare such tuples too, and build an Ideal
+(_monomial_ideal, published from the tuples) only for a result they
+publish.  eliminate primes the slice of its reduced elimination basis
+free of the eliminated variables: the block order is grevlex there and
+the whole basis is reduced, so the slice is the reduced grevlex basis
+of the elimination ideal; _restrict carries it to the small ring for
+intersect, saturation and star.  Priming never changes the order of an
+ideal's generators.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class GroebnerBasis:
     ascending in the order, with their leading monomials."""
 
     __slots__ = ("ring", "order", "elements", "leads", "_reducers",
-                 "_monomial")
+                 "_monomial", "_descending", "_key")
 
     def __init__(self, ring, order, elements, leads):
         self.ring = ring
@@ -52,7 +53,7 @@ class GroebnerBasis:
         self.leads = tuple(leads)
         self._reducers = tuple(
             (lm, g.terms) for lm, g in zip(self.leads, self.elements))
-        self._monomial = None
+        self._monomial = self._descending = self._key = None
 
     @property
     def is_monomial(self):
@@ -77,9 +78,20 @@ class GroebnerBasis:
 
     def by_lead_descending(self):
         """Elements sorted by leading exponent tuple, lexicographically
-        descending."""
-        return [g for _, g in sorted(zip(self.leads, self.elements),
-                                     key=itemgetter(0), reverse=True)]
+        descending; a fresh list of the order found on the first call."""
+        if self._descending is None:
+            self._descending = [g for _, g in sorted(
+                zip(self.leads, self.elements), key=itemgetter(0),
+                reverse=True)]
+        return self._descending[:]
+
+    @property
+    def key(self):
+        """The rendered elements in by_lead_descending order, rendered on
+        the first call: the printed form, and the sort key of ideals."""
+        if self._key is None:
+            self._key = tuple(map(str, self.by_lead_descending()))
+        return self._key
 
     def __iter__(self):
         return iter(self.elements)
@@ -371,12 +383,20 @@ def _primed(ring, gens):
     return out
 
 
+def _published(ring, gens, leads):
+    """Ideal generated by gens, nonzero polynomials that already form its
+    reduced monic grevlex basis ascending, with these leads: both are
+    stored as given, with nothing scanned, found or sorted."""
+    out = Ideal.__new__(Ideal)
+    out.ring, out.generators = ring, tuple(gens)
+    out._grevlex = GroebnerBasis(ring, GREVLEX, out.generators, leads)
+    return out
+
+
 def _monomial_ideal(ring, exps):
     """Ideal published from a result exps of the monomial kernel below:
     with coefficient one they are its reduced grevlex basis, in order."""
-    out = Ideal(ring, [ring.monomial(m) for m in exps])
-    out._grevlex = GroebnerBasis(ring, GREVLEX, out.generators, exps)
-    return out
+    return _published(ring, [ring.monomial(m) for m in exps], exps)
 
 
 def ideal_sum(I, *rest):
@@ -628,8 +648,8 @@ def _monomial_min_gens(monomials):
                           reverse=True):
         if d != degree:
             degree, lower = d, len(kept)
-        for k in kept[:lower]:
-            if all(map(le, k, m)):
+        for i in range(lower):
+            if all(map(le, kept[i], m)):
                 break
         else:
             kept.append(m)

@@ -27,7 +27,7 @@ from .poly import ResourceLimitError
 
 
 def _canon_key(I):
-    return tuple(str(g) for g in I.canonical_generators())
+    return I.groebner().key
 
 
 def _require_homogeneous(I, graded, what):

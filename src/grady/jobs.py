@@ -250,7 +250,7 @@ def _gens_list(I):
     """Printed generators: a Groebner basis as it stands, an ideal by its
     canonical generators."""
     gb = I if isinstance(I, GroebnerBasis) else I.groebner(GREVLEX)
-    return [str(g) for g in gb.by_lead_descending()]
+    return list(gb.key)
 
 
 # Result kind of a decomposition -> the key of its components' radicals.

@@ -9,7 +9,7 @@ mutate their arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, log10, prod
 from operator import add, ge, le, neg, sub
 
 
@@ -572,6 +572,24 @@ def render_polynomial(f):
 MAX_POWER_TERMS = 1500
 
 
+# Python refuses to turn an integer of over 4,300 digits into text or
+# back, so an integer token of over MAX_DIGITS digits is a parse error,
+# and over Q so is a term whose coefficients may pass MAX_DIGITS digits,
+# before it is computed: a factor c^n or (f)^n adds n*log10 of the sum
+# of |numerators| over the common denominator, which bounds every
+# coefficient of the n-th power, and n*log10 of that denominator.  The
+# budget tests aside, the tests reach at most 451.2, for (x + y)^1499.
+MAX_DIGITS = 4000
+
+
+def _norm(f):
+    """(sum of |numerators| over the common denominator, that denominator)
+    of the coefficients of the term dict f."""
+    den = lcm(*(c.denominator for c in f.values()))
+    return sum(abs(c.numerator) * den // c.denominator
+               for c in f.values()), den
+
+
 def _spreads(f):
     return [max(e) - min(e) for e in zip(*f)]
 
@@ -618,6 +636,9 @@ def _tokenize(text):
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise PolyParseError(f"an integer of {j - i} digits is over "
+                                     f"MAX_DIGITS = {MAX_DIGITS}", i)
             tokens.append(("int", text[i:j], i))
             i = j
             continue
@@ -678,6 +699,7 @@ class _Parser:
     def term(self):
         p = self.p
         coeff, exps, product = 1, [0] * self.ring.nvars, None
+        top = bottom = 0    # estimated digits of numerators, denominators
         while True:
             kind, text, at = self.advance()
             if kind == "int":
@@ -714,7 +736,18 @@ class _Parser:
                 n = int(text)
                 if kind == "(":
                     _check_power(f, n, n_at)
-                    f = _pow_terms(f, n, {(0,) * self.ring.nvars: 1}, p)
+            if not p and kind != "name":
+                num, den = (value.numerator, value.denominator) \
+                    if kind == "int" else _norm(f)
+                k = min(n, 4 * MAX_DIGITS)     # each log is 0 or over 1/4
+                top += k * log10(num or 1)
+                bottom += k * log10(den)
+                if max(top, bottom) > MAX_DIGITS:
+                    raise PolyParseError(
+                        f"a coefficient may have more than MAX_DIGITS = "
+                        f"{MAX_DIGITS} digits", at)
+            if kind == "(" and nxt[0] == "^":
+                f = _pow_terms(f, n, {(0,) * self.ring.nvars: 1}, p)
             if kind == "int":
                 coeff = coeff * pow(value, n, p) % p if p \
                     else coeff * value ** n

@@ -7,6 +7,7 @@ import math
 import random
 import signal
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,13 +15,15 @@ from hypothesis import strategies as st
 
 from grady.decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
                                  _divisors, _fp_divmod, _fp_factor, _fp_gcd,
-                                 _mul_uni, _squarefree, _z_rational_roots,
+                                 _irreducible_split, _irredundant, _mul_uni,
+                                 _squarefree, _z_rational_roots,
                                  associated_primes, classical_decomposition,
                                  minimal_primes, monomial_dimension,
                                  monomial_primary_decomposition,
                                  monomial_radical, radical_ideal,
                                  univariate_primary_decomposition)
-from grady.groebner import Ideal, colon, intersect_all
+from grady.groebner import (Ideal, _monomial_meet, _monomial_radical, colon,
+                            intersect_all)
 from grady.poly import GF, QQ, Polynomial, PolynomialRing
 
 
@@ -633,3 +636,47 @@ def test_associated_primes_are_the_prime_colons(case):
     assert set(ass) == prime_colons
     assert {_key(P) for P in minimal_primes(I)} == \
         {P for P in prime_colons if not any(Q < P for Q in prime_colons)}
+
+
+def _drop_one_reference(I, split):
+    """(component, radical) exponent tuples by the pipeline without the
+    Ass filter: merge every support group of the split, in (size,
+    support) order, then keep what the greedy drop-one pass keeps."""
+    gens = I.monomial_generators()
+    groups = {}
+    for q in _irreducible_split(gens, split):
+        sup = tuple(sorted({i for m in q for i, e in enumerate(m) if e}))
+        groups.setdefault(sup, []).append(q)
+    merged = [reduce(_monomial_meet, groups[sup])
+              for sup in sorted(groups, key=lambda sup: (len(sup), sup))]
+    return [(merged[i], _monomial_radical(merged[i]))
+            for i in _irredundant(merged, gens, _monomial_meet)]
+
+
+@st.composite
+def _small_monomial_ideals(draw):
+    n = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 5)] * n).filter(any)
+    return n, draw(st.lists(exps, max_size=6)), \
+        draw(st.sampled_from(["first", "last"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_monomial_ideals())
+@example((3, [], "first"))
+@example((3, [], "last"))
+@example((1, [(4,)], "first"))
+@example((3, [(0, 0, 3)], "last"))
+@example((3, [(3, 1, 0), (2, 0, 2), (0, 2, 1)], "first"))
+@example((3, [(3, 1, 0), (2, 0, 2), (0, 2, 1)], "last"))
+def test_ass_filter_matches_the_drop_one_pass(case):
+    """Merging only the support groups on Ass(I), the supports of the
+    inclusion-minimal leaves, publishes the components, radicals and
+    order that the greedy drop-one pass over all merged groups keeps."""
+    n, gens, split = case
+    R = PolynomialRing(GF(5), ("x", "y", "z", "w", "v")[:n])
+    I = Ideal(R, [R.monomial(m) for m in gens])
+    dec = monomial_primary_decomposition(I, split=split)
+    assert [(c.component.monomial_generators(),
+             c.radical.monomial_generators())
+            for c in dec.components] == _drop_one_reference(I, split)

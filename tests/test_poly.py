@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grady.poly import (GF, GREVLEX, LEX, MAX_POWER_TERMS, QQ, PolyParseError,
-                        PolynomialRing, TermOrder, mono_div, mono_divides,
-                        mono_gcd, mono_lcm, mono_mul, parse_polynomial)
+from grady.poly import (GF, GREVLEX, LEX, MAX_DIGITS, MAX_POWER_TERMS, QQ,
+                        PolyParseError, PolynomialRing, TermOrder, mono_div,
+                        mono_divides, mono_gcd, mono_lcm, mono_mul,
+                        parse_polynomial)
 
 
 def _accepts(n):
@@ -459,11 +460,54 @@ def test_power_term_budget():
         assert str(err.value) == \
             f"{message} may have more than MAX_POWER_TERMS = 1500 terms " \
             f"(at position {position})"
-    assert parse_polynomial("(2*x*y)^20000 + x^20000", ring) == \
-        ring.monomial((20000, 20000, 0), QQ.from_int(2 ** 20000)) + \
+    assert parse_polynomial("(2*x*y)^13000 + x^20000", ring) == \
+        ring.monomial((13000, 13000, 0), QQ.from_int(2 ** 13000)) + \
         ring.monomial((20000, 0, 0))
     assert parse_polynomial("(x + y - y)^20000", ring) == \
         ring.monomial((20000, 0, 0))
+
+
+def test_digit_budget():
+    """Integer tokens of more than MAX_DIGITS digits, and over Q terms
+    whose estimated coefficient digits pass MAX_DIGITS, are parse errors
+    at their position, raised before any power or product is computed;
+    what parses renders."""
+    assert MAX_DIGITS == 4000
+    ring = PolynomialRing(QQ, ("x", "y"))
+    digits = "7" * 5000
+    for text, position in ((f"x - {digits}", 4), (f"x - 1/{digits}", 6),
+                           (f"x^{digits}", 2)):
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, ring)
+        assert str(err.value) == "an integer of 5000 digits is over " \
+            f"MAX_DIGITS = 4000 (at position {position})"
+    nines = "9" * 1000
+    for text, position in (("x - 3^10000000", 4), ("(x + 99999)^900", 0),
+                           ("(x + 99999)^1400", 0), ("y*3/7^5000", 2),
+                           ("7^2000*x*7^2000*7^2000", 16),
+                           ("(1/99999*x + 1)^900", 0),
+                           ("(x + 99999)^500*(x - 99999)^500", 16),
+                           (f"x + (x + {nines})^5", 4),
+                           ("(300*x + 300)^1499", 0), ("(2*x*y)^20000", 0),
+                           ("2^" + "9" * 3999, 0)):
+        start = time.process_time()
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, ring)
+        assert time.process_time() - start < 0.5, text
+        assert str(err.value) == "a coefficient may have more than " \
+            f"MAX_DIGITS = 4000 digits (at position {position})", text
+    for text in ("3^8000*x - " + "7" * 4000, f"(x + {nines})^3",
+                 f"(1/{nines}9*x + y)^3", "2^13000*x^99999",
+                 "1^" + "9" * 3999 + "*x"):
+        f = parse_polynomial(text, ring)
+        assert all(len(str(abs(c.numerator))) <= 4000 and
+                   len(str(c.denominator)) <= 4000
+                   for c in f.terms.values()), text
+        str(f)
+    # over F_p coefficients stay below p: only the token bound applies
+    f5 = PolynomialRing(GF(5), ("x",))
+    assert parse_polynomial("x - 3^10000000", f5) == \
+        parse_polynomial("x - 1", f5)
 
 
 def _cpu_seconds(text, ring):

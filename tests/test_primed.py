@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import grady.groebner as groebner
 from grady.decomposition import (monomial_primary_decomposition,
-                                 monomial_radical)
+                                 monomial_radical,
+                                 univariate_primary_decomposition)
 from grady.grading import GradedRing, GradingGroup, star
-from grady.groebner import (Ideal, buchberger, colon, eliminate, intersect,
-                            intersect_all, saturate)
+from grady.groebner import (Ideal, _primed, _published, buchberger, colon,
+                            eliminate, intersect, intersect_all, saturate)
 from grady.gtheory import g_primary_decomposition
 from grady.poly import GF, GREVLEX, QQ, PolynomialRing
 
@@ -98,3 +99,46 @@ def test_monomial_decompositions_run_no_grevlex_buchberger(monkeypatch):
     gdec = g_primary_decomposition(I, graded)
     assert len(mdec.components) > 1 and len(gdec.components) > 1
     assert GREVLEX not in orders
+
+
+def test_canonical_generators_and_key_are_computed_once_and_shared():
+    """canonical_generators hands out a fresh list of the order found on
+    the first call; the basis key is the rendered canonical generators,
+    whether the basis came from Buchberger, _primed or _published."""
+    ring = PolynomialRing(QQ, ("x", "y"))
+    built = Ideal(ring, ["x^2 + y", "x*y - 1"])
+    first = built.canonical_generators()
+    first.reverse()
+    first.append(ring.one())
+    assert built.canonical_generators() == first[-2::-1]
+    gens = built.canonical_generators()
+    primed = _primed(ring, built.groebner(GREVLEX).elements)
+    published = _published(ring, built.groebner(GREVLEX).elements,
+                           built.groebner(GREVLEX).leads)
+    for I in (built, primed, published):
+        key = I.groebner(GREVLEX).key
+        assert key == tuple(str(g) for g in I.canonical_generators())
+        assert key == tuple(str(g) for g in gens)
+        assert I.groebner(GREVLEX).key is key
+
+
+def test_published_ideal_equals_the_ideal_of_its_generators():
+    ring = PolynomialRing(GF(5), ("x", "y", "z"))
+    for texts in (["x^2", "x*y", "y^3*z"], ["x^3 + 2*x + 1"], []):
+        I = Ideal(ring, texts)
+        gb = I.groebner(GREVLEX)
+        published = _published(ring, gb.elements, gb.leads)
+        assert published == Ideal(ring, texts)
+        assert published.generators == gb.elements
+        assert [str(g) for g in published.canonical_generators()] == \
+            [str(g) for g in Ideal(ring, texts).canonical_generators()]
+        assert_basis_consistent(published)
+
+
+def test_univariate_components_are_published_with_their_basis():
+    for field in (GF(5), QQ):
+        ring = PolynomialRing(field, ("x",))
+        I = Ideal(ring, ["(x - 1)^3*(x^2 + 2)*(2*x + 3)"])
+        for c in univariate_primary_decomposition(I).components:
+            assert_basis_consistent(c.component)
+            assert_basis_consistent(c.radical)
