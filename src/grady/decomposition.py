@@ -12,13 +12,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .groebner import (GREVLEX, Ideal, _monomial_ideal, _monomial_le,
                        _monomial_meet, _monomial_min_gens, _monomial_radical,
                        _published, intersect, intersect_all)
-from .poly import Polynomial, ResourceLimitError
+from .poly import Polynomial, ResourceLimitError, _scale_terms
 
 
 class UnsupportedClassError(Exception):
@@ -240,14 +239,8 @@ def _principal(ring, a, mult=1):
     g = [1]
     for _ in range(mult):
         g = _mul_uni(g, a, p)
-    lead = g[-1]
-    if p:
-        inv = pow(lead, -1, p)
-        terms = {(i,): c * inv % p for i, c in reversed(list(enumerate(g)))
-                 if c}
-    else:
-        terms = {(i,): Fraction(c, lead)
-                 for i, c in reversed(list(enumerate(g))) if c}
+    terms = _scale_terms({(i,): c for i, c in reversed(list(enumerate(g)))
+                          if c}, ring.field.inv(g[-1]), p)
     return _published(ring, [Polynomial(ring, terms, _clean=True)],
                       [(len(g) - 1,)])
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .groebner import Ideal, _monomial_ideal, _primed, _restrict, eliminate
+from .groebner import Ideal, _published, _restrict, eliminate
 from .poly import GREVLEX, Polynomial, ResourceLimitError, fresh_names
 
 # star eliminates over s^m - 1 for each used torsion modulus m, in time
@@ -173,25 +173,18 @@ def star(I, graded):
     ring = I.ring
     if ring != graded.ring:
         raise ValueError("ideal and grading live on different rings")
-    if I.is_zero:
-        return Ideal(ring)
-    # Monomials are homogeneous: a monomial ideal is its own star, and is
-    # returned as it is when it already holds its minimal generators.
-    if I.is_monomial:
-        gb = I.groebner(GREVLEX)
+    # An ideal with a homogeneous reduced basis (zero, monomial, or under
+    # the trivial grading) is its own star.  The result's generators are
+    # that basis: I itself when it holds exactly its basis, else the basis
+    # published.  Otherwise a component of an inhomogeneous reduced basis
+    # element that misses its lead has no term in the leading ideal, so it
+    # lies outside I: only the elimination below can find the star.
+    gb = I.groebner(GREVLEX)
+    if gb.is_monomial or graded.group.is_trivial \
+            or all(is_homogeneous(g, graded) for g in gb.elements):
         if I.generators == gb.elements:
             return I
-        return _monomial_ideal(ring, gb.leads)
-    gens = I.canonical_generators()
-    if graded.group.is_trivial:
-        return _primed(ring, gens)
-
-    # Already generated by homogeneous elements: the ideal is its own star.
-    # Otherwise a component of an inhomogeneous reduced basis element
-    # that misses its lead has no term in the leading ideal, so it lies
-    # outside I: only the elimination below can find the star.
-    if all(is_homogeneous(g, graded) for g in gens):
-        return _primed(ring, gens)
+        return _published(ring, gb.elements, gb.leads)
 
     r = graded.group.free_rank
     moduli = graded.group.torsion
@@ -219,7 +212,7 @@ def star(I, graded):
     aux = list(range(n, big.nvars))
 
     lifted = []
-    for g in gens:
+    for g in gb.by_lead_descending():
         term_data = []
         for m, c in g.terms.items():
             d = graded.degree_of_monomial(m)
@@ -247,4 +240,4 @@ def star(I, graded):
         relations.append(big.one() - big.gen(z_at) * prod)
 
     upstairs = eliminate(Ideal(big, lifted + relations), aux)
-    return _primed(ring, _restrict(upstairs, ring).canonical_generators())
+    return _restrict(upstairs, ring)

@@ -14,18 +14,18 @@ every published generator list is sorted, so identical inputs give identical
 output bytes.
 
 Published bases: a result whose reduced monic grevlex basis is already at
-hand carries it (_primed, or _published when the basis is ascending and
-its leads are known), so Buchberger never rebuilds it.  Monomial ideals
-stay exponent tuples, their minimal generators ascending in grevlex,
-while the kernel at the end of this module works on them; decomposition
-and gtheory fold and compare such tuples too, and build an Ideal
-(_monomial_ideal, published from the tuples) only for a result they
-publish.  eliminate primes the slice of its reduced elimination basis
-free of the eliminated variables: the block order is grevlex there and
-the whole basis is reduced, so the slice is the reduced grevlex basis
-of the elimination ideal; _restrict carries it to the small ring for
-intersect, saturation and star.  Priming never changes the order of an
-ideal's generators.
+hand is built by _published from that basis, ascending, and its leads,
+so Buchberger never rebuilds it and nothing is scanned or sorted.
+Monomial ideals stay exponent tuples, their minimal generators ascending
+in grevlex, while the kernel at the end of this module works on them;
+decomposition and gtheory fold and compare such tuples too, and publish
+an Ideal (_monomial_ideal) only for a result they return.  eliminate
+publishes the slice of its reduced elimination basis free of the
+eliminated variables, with the elimination leads: the block order is
+grevlex there and the whole basis is reduced, so the slice is the
+reduced grevlex basis of the elimination ideal, ascending, with the same
+leads; _restrict carries it to the small ring for intersect, saturation
+and star, cutting the leads to the small ring's variables.
 """
 
 from __future__ import annotations
@@ -35,24 +35,22 @@ import heapq
 from operator import add, itemgetter, le, sub
 
 from .poly import (GREVLEX, Polynomial, ResourceLimitError, TermOrder,
-                   fresh_names, mono_div, mono_divides, mono_lcm,
-                   mono_mul)
+                   _add_terms, _scale_terms, fresh_names, mono_div,
+                   mono_divides, mono_lcm, mono_mul)
 
 
 class GroebnerBasis:
     """Reduced monic basis for an ideal under a fixed order: elements
     ascending in the order, with their leading monomials."""
 
-    __slots__ = ("ring", "order", "elements", "leads", "_reducers",
-                 "_monomial", "_descending", "_key")
+    __slots__ = ("ring", "order", "elements", "leads", "_monomial",
+                 "_descending", "_key")
 
     def __init__(self, ring, order, elements, leads):
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
         self.leads = tuple(leads)
-        self._reducers = tuple(
-            (lm, g.terms) for lm, g in zip(self.leads, self.elements))
         self._monomial = self._descending = self._key = None
 
     @property
@@ -65,7 +63,8 @@ class GroebnerBasis:
     def normal_form(self, f):
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        terms = _reduce_full(dict(f.terms), self._reducers, self.order,
+        reducers = [(lm, g.terms) for lm, g in zip(self.leads, self.elements)]
+        terms = _reduce_full(dict(f.terms), reducers, self.order,
                              self.ring.field)
         return Polynomial(self.ring, terms, _clean=True)
 
@@ -142,22 +141,11 @@ def _reduce_full(work, reducers, order, field):
 
 def _spoly_terms(lcm, lm_f, f_terms, lm_g, g_terms, field):
     """S-polynomial term dict for monic f, g whose leads have this lcm."""
-    p = field.characteristic
     sf = tuple(map(sub, lcm, lm_f))
     sg = tuple(map(sub, lcm, lm_g))
-    out = {}
-    for m, c in f_terms.items():
-        out[mono_mul(m, sf)] = c
-    for m, c in g_terms.items():
-        mm = mono_mul(m, sg)
-        s = out.get(mm, 0) - c
-        if p:
-            s %= p
-        if s:
-            out[mm] = s
-        else:
-            out.pop(mm, None)
-    return out
+    return _add_terms({mono_mul(m, sf): c for m, c in f_terms.items()},
+                      {mono_mul(m, sg): c for m, c in g_terms.items()},
+                      field.characteristic, sub)
 
 
 def buchberger(generators, order):
@@ -176,8 +164,10 @@ def buchberger(generators, order):
         return GroebnerBasis(ring, order, (), ())
 
     if all(g.is_monomial for g in seed):
-        gens = _monomial_min_gens([g.leading_monomial(order) for g in seed])
-        return _basis(ring, order, [ring.monomial(m) for m in gens], gens)
+        gens = sorted(_monomial_min_gens([next(iter(g.terms)) for g in seed]),
+                      key=order.key)
+        return GroebnerBasis(ring, order, [ring.monomial(m) for m in gens],
+                             gens)
 
     key = order.key
 
@@ -205,24 +195,12 @@ def buchberger(generators, order):
     return GroebnerBasis(ring, order, elements, leads)
 
 
-def _basis(ring, order, elements, leads):
-    """GroebnerBasis of reduced monic elements with these leads, both
-    given in any matching order."""
-    ranked = sorted(zip(leads, elements), key=lambda e: order.key(e[0]))
-    return GroebnerBasis(ring, order, [g for _, g in ranked],
-                         [lm for lm, _ in ranked])
-
-
 def _monic(lm, terms, field):
     """(lm, terms) scaled so the coefficient at lm becomes one."""
     c = terms[lm]
     if c == field.one:
         return (lm, terms)
-    inv = field.inv(c)
-    p = field.characteristic
-    if p:
-        return (lm, {m: (a * inv) % p for m, a in terms.items()})
-    return (lm, {m: a * inv for m, a in terms.items()})
+    return (lm, _scale_terms(terms, field.inv(c), field.characteristic))
 
 
 def _update(basis, live, pairs, heap, entry, key):
@@ -374,15 +352,6 @@ class Ideal:
         return f"Ideal({gens})" if gens else "Ideal(0)"
 
 
-def _primed(ring, gens):
-    """Ideal generated by gens, in this order, which already form its
-    reduced monic grevlex basis; the basis is stored, not recomputed."""
-    out = Ideal(ring, gens)
-    leads = [g.leading_monomial(GREVLEX) for g in out.generators]
-    out._grevlex = _basis(ring, GREVLEX, out.generators, leads)
-    return out
-
-
 def _published(ring, gens, leads):
     """Ideal generated by gens, nonzero polynomials that already form its
     reduced monic grevlex basis ascending, with these leads: both are
@@ -442,15 +411,17 @@ def _extension(ring, label, count=1):
 
 def _restrict(ideal, small):
     """An eliminate result free of the extension's trailing variables,
-    mapped back to the small ring with its basis and generator order."""
+    published in the small ring with its basis."""
     back = {i: i for i in range(small.nvars)}
-    return _primed(small, [f.map_to(small, back) for f in ideal.generators])
+    gb = ideal.groebner(GREVLEX)
+    return _published(small, [f.map_to(small, back) for f in gb.elements],
+                      [lm[:small.nvars] for lm in gb.leads])
 
 
 def eliminate(ideal, variables):
     """Generators of ideal ∩ k[remaining variables], as an ideal of the
-    same ring (output polynomials avoid the eliminated variables), its
-    grevlex basis primed."""
+    same ring (output polynomials avoid the eliminated variables),
+    published with its grevlex basis."""
     ring = ideal.ring
     indices = frozenset(
         ring.variable_index(v) if isinstance(v, str) else int(v)
@@ -459,9 +430,9 @@ def eliminate(ideal, variables):
         return Ideal(ring, ideal.generators)
     order = TermOrder.elimination(indices)
     gb = ideal.groebner(order)
-    kept = [g for g in gb
+    kept = [(lm, g) for lm, g in zip(gb.leads, gb.elements)
             if not any(m[i] for m in g.terms for i in indices)]
-    return _primed(ring, kept)
+    return _published(ring, [g for _, g in kept], [lm for lm, _ in kept])
 
 
 def intersect(I, J):
@@ -504,39 +475,25 @@ def intersect_all(ideals, ring=None):
 
 def exact_quotient(f, g, order=GREVLEX):
     """f / g for f in (g); raises ArithmeticError when not divisible."""
-    ring = f.ring
-    field = ring.field
-    p = field.characteristic
     lt = g.leading_term(order)
     if lt is None:
         raise ArithmeticError("division by zero polynomial")
     lm_g, lc_g = lt
-    inv = field.inv(lc_g)
+    p = f.ring.field.characteristic
+    inv = f.ring.field.inv(lc_g)
+    monic = _scale_terms(g.terms, inv, p)
     work = dict(f.terms)
-    quot = {}
+    quot = {}       # f / monic g
     dkey = order.desc_key
     while work:
         m = min(work, key=dkey)
-        c = work.pop(m)
         shift = mono_div(m, lm_g)
         if shift is None:
             raise ArithmeticError("not an exact multiple")
-        q = c * inv
-        if p:
-            q %= p
-        quot[shift] = q
-        for gm, gc in g.terms.items():
-            if gm == lm_g:
-                continue
-            mm = mono_mul(gm, shift)
-            s = work.get(mm, 0) - q * gc
-            if p:
-                s %= p
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-    return Polynomial(ring, quot, _clean=True)
+        q = quot[shift] = work[m]
+        _add_terms(work, {mono_mul(gm, shift): q * gc
+                          for gm, gc in monic.items()}, p, sub)
+    return Polynomial(f.ring, _scale_terms(quot, inv, p), _clean=True)
 
 
 def colon(I, J):

@@ -281,6 +281,13 @@ def _add_terms(out, b, p, op=add):
     return out
 
 
+def _scale_terms(a, c, p):
+    """a times the nonzero field element c, as a new dict."""
+    if p:
+        return {m: x * c % p for m, x in a.items()}
+    return {m: x * c for m, x in a.items()}
+
+
 def _mul_terms(a, b, p):
     out = {}
     for m1, c1 in a.items():
@@ -371,12 +378,8 @@ class Polynomial:
             sub), _clean=True)
 
     def __neg__(self):
-        p = self.ring.field.characteristic
-        if p:
-            out = {m: p - c for m, c in self.terms.items()}
-        else:
-            out = {m: -c for m, c in self.terms.items()}
-        return Polynomial(self.ring, out, _clean=True)
+        return Polynomial(self.ring, _scale_terms(
+            self.terms, -1, self.ring.field.characteristic), _clean=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -395,11 +398,8 @@ class Polynomial:
         p = field.characteristic
         if (c % p if p else c) == 0:
             return self.ring.zero()
-        if p:
-            out = {m: (a * c) % p for m, a in self.terms.items()}
-        else:
-            out = {m: a * c for m, a in self.terms.items()}
-        return Polynomial(self.ring, out, _clean=True)
+        return Polynomial(self.ring, _scale_terms(self.terms, c, p),
+                          _clean=True)
 
     def __pow__(self, n):
         if n < 0:
@@ -463,21 +463,9 @@ class Polynomial:
         out = {}
         for m, c in self.terms.items():
             for i, val in idx.items():
-                e = m[i]
-                if e:
-                    c = c * val**e
-                    if p:
-                        c %= p
-            if c == 0:
-                continue
+                c = c * val ** m[i]
             key = tuple(0 if i in idx else e for i, e in enumerate(m))
-            s = out.get(key, 0) + c
-            if p:
-                s %= p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _add_terms(out, {key: c}, p)
         return Polynomial(ring, out, _clean=True)
 
     def map_to(self, other_ring, var_map=None):
@@ -530,17 +518,24 @@ def render_polynomial(f):
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
+        if mag != 1 or not factors:
+            factors.insert(0, _coefficient_text(mag))
+        body = "*".join(factors)
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:
             parts.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(parts)
+
+
+def _coefficient_text(c):
+    """str(c).  Python refuses to print an integer of over 4,300 digits;
+    an answer with such a coefficient is over budget, not a bad input."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ResourceLimitError(
+            "the answer has a coefficient too long to print") from None
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,22 @@ def test_factoring_over_budget_exits_three(tmp_path, capsys, field,
     assert detail in theorems["detail"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_answer_too_long_to_print_is_a_budget_refusal(tmp_path, capsys):
+    """Each term is within the parser's digit budget, but the monic
+    basis element's constant has a numerator Python refuses to print."""
+    doc = {"ring": {"field": "Q", "vars": ["x"]},
+           "ideals": {"I": ["1/7^4700*x + 1/11^3800*x + 1"]},
+           "command": {"op": "groebner", "args": ["I"], "options": {}}}
+    code = cli.main(["run", _write_job(tmp_path, doc)])
+    out, _ = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out)["payload"] == {
+        "reason": "budget",
+        "detail": "the answer has a coefficient too long to print"}
+
+
 @pytest.mark.parametrize("op", ["g_ass", "g_min", "theorems"])
 def test_assumed_component_mismatch_is_a_typed_refusal(tmp_path, capsys, op):
     doc = {"ring": {"field": "Q", "vars": ["x"]},

@@ -390,6 +390,17 @@ def test_linear_factor_over_q_needs_no_root_search():
     assert all(c.status == VERIFIED for c in dec.components)
 
 
+def test_univariate_components_sort_by_degree_then_rendered_text():
+    """Components of one degree are ordered by the printed radical, which
+    is not a numeric order ("x + 10" < "x + 2"): a numeric key on the
+    coefficients would change the output."""
+    R = PolynomialRing(QQ, ("x",))
+    dec = univariate_primary_decomposition(
+        Ideal(R, ["(x + 2)*(x + 10)*(x^2 + 1)"]))
+    assert [str(c.radical.generators[0]) for c in dec.components] == [
+        "x + 10", "x + 2", "x^2 + 1"]
+
+
 # ---------------------------------------------------------------------------
 # The integer kernel over Q against the Fraction arithmetic it replaced:
 # Yun's loop with monic field gcds and the rational-root search, copied.

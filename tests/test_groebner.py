@@ -83,6 +83,39 @@ def test_intersect_monomial_vs_generic(Rxy):
     assert intersect_all([], Rxy).is_unit
 
 
+@st.composite
+def _quotient_cases(draw):
+    field = draw(st.sampled_from([GF(5), GF(32003), QQ]))
+    ring = PolynomialRing(field, ("x", "y"))
+    mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coeff = st.integers(1, 40).map(field.from_int).filter(bool)
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=4).map(
+        lambda terms: Polynomial(ring, terms))
+    f, g = draw(poly), draw(poly)
+    # lead coefficient 2, 3 or 4, so g is not monic
+    c = field.from_int(draw(st.integers(2, 4)))
+    return f, g.scale(c * field.inv(g.leading_term()[1])), draw(poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quotient_cases())
+def test_exact_quotient_and_spoly_match_polynomial_arithmetic(case):
+    f, g, h = case
+    ring, field = f.ring, f.ring.field
+    assert exact_quotient(f * g, g) == f
+    if not Ideal(ring, [g]).contains(h):
+        with pytest.raises(ArithmeticError):
+            exact_quotient(f * g + h, g)
+    # the S-polynomial of f and g made monic
+    mf, mg = (q.scale(field.inv(q.leading_term()[1])) for q in (f, g))
+    lf, lg = mf.leading_monomial(), mg.leading_monomial()
+    lcm = mono_lcm(lf, lg)
+    expected = mf * ring.monomial(mono_div(lcm, lf)) \
+        - mg * ring.monomial(mono_div(lcm, lg))
+    assert groebner._spoly_terms(lcm, lf, mf.terms, lg, mg.terms, field) \
+        == expected.terms
+
+
 def test_exact_quotient(Rxy):
     f = parse_polynomial("x^2 - y^2", Rxy)
     g = parse_polynomial("x - y", Rxy)

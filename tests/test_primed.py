@@ -15,10 +15,11 @@ import grady.groebner as groebner
 from grady.decomposition import (monomial_primary_decomposition,
                                  monomial_radical,
                                  univariate_primary_decomposition)
-from grady.grading import GradedRing, GradingGroup, star
-from grady.groebner import (Ideal, _primed, _published, buchberger, colon,
-                            eliminate, intersect, intersect_all, saturate)
+from grady.grading import GradedRing, GradingGroup, is_homogeneous, star
+from grady.groebner import (Ideal, _published, buchberger, colon, eliminate,
+                            intersect, intersect_all, saturate)
 from grady.gtheory import g_primary_decomposition
+from grady.oracle import oracle_compare
 from grady.poly import GF, GREVLEX, QQ, PolynomialRing
 
 
@@ -70,8 +71,15 @@ def _cases(draw):
 @given(_cases())
 def test_published_bases_match_buchberger(case):
     I, J, K, f, graded = case
+    S = star(I, graded)
+    # a star's generators are exactly its reduced basis, which is
+    # homogeneous; an ideal that holds such a basis is its own star
+    assert S.generators == S.groebner(GREVLEX).elements
+    assert all(is_homogeneous(g, graded) for g in S.generators)
+    for H in (S, Ideal(I.ring, S.generators)):
+        assert star(H, graded) is H
     results = [intersect(I, J), intersect_all([I, J, K]),
-               eliminate(I, [0]), star(I, graded)]
+               eliminate(I, [0]), S]
     if not J.is_zero:
         results.append(colon(I, J))
     if not f.is_zero:
@@ -104,7 +112,7 @@ def test_monomial_decompositions_run_no_grevlex_buchberger(monkeypatch):
 def test_canonical_generators_and_key_are_computed_once_and_shared():
     """canonical_generators hands out a fresh list of the order found on
     the first call; the basis key is the rendered canonical generators,
-    whether the basis came from Buchberger, _primed or _published."""
+    whether the basis came from Buchberger or _published."""
     ring = PolynomialRing(QQ, ("x", "y"))
     built = Ideal(ring, ["x^2 + y", "x*y - 1"])
     first = built.canonical_generators()
@@ -112,10 +120,9 @@ def test_canonical_generators_and_key_are_computed_once_and_shared():
     first.append(ring.one())
     assert built.canonical_generators() == first[-2::-1]
     gens = built.canonical_generators()
-    primed = _primed(ring, built.groebner(GREVLEX).elements)
     published = _published(ring, built.groebner(GREVLEX).elements,
                            built.groebner(GREVLEX).leads)
-    for I in (built, primed, published):
+    for I in (built, published):
         key = I.groebner(GREVLEX).key
         assert key == tuple(str(g) for g in I.canonical_generators())
         assert key == tuple(str(g) for g in gens)
@@ -142,3 +149,16 @@ def test_univariate_components_are_published_with_their_basis():
         for c in univariate_primary_decomposition(I).components:
             assert_basis_consistent(c.component)
             assert_basis_consistent(c.radical)
+
+
+def test_star_generators_decide_the_primes_of_the_rational_oracle():
+    """The oracle reduces a star's generators mod p, so a star must hold
+    its reduced basis even when the ideal is its own star: x + 1/5 skips
+    the prime 5, where the generator 5*x + 1 would have used it."""
+    ring = PolynomialRing(QQ, ("x",))
+    trivial = GradedRing(ring, GradingGroup(0, ()), [((), ())])
+    I = Ideal(ring, ["5*x + 1"])
+    assert [str(g) for g in star(I, trivial).generators] == ["x + 1/5"]
+    verdict = oracle_compare(I, trivial, 7)
+    assert verdict.passed
+    assert verdict.reason == "heuristic: agreement mod 7, 11"
