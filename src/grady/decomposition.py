@@ -583,15 +583,27 @@ def classical_decomposition(I):
 
 def _decompose_for_primes(I, what):
     """classical_decomposition(I) for a prime-list query about I, with
-    that query's errors: "unit ideal", or "<what> outside supported
-    classes"."""
+    that query's errors: "unit ideal", "<what> outside supported classes",
+    or an assumed component (_certified)."""
     if I.is_unit:
         raise ValueError("unit ideal")
     try:
-        return classical_decomposition(I)
+        dec = classical_decomposition(I)
     except UnsupportedClassError:
         raise UnsupportedClassError(
             f"{what} outside supported classes") from None
+    return _certified(dec, f"{what} are not certified")
+
+
+def _certified(dec, reason):
+    """dec, unless it has a component only assumed primary: then an answer
+    with no status to carry that is refused, for the given reason."""
+    names = " and ".join("(" + ", ".join(c.component.groebner().key) + ")"
+                         for c in dec.components if c.status == ASSUMED)
+    if names:
+        raise UnsupportedClassError(f"{reason}; the assumed component "
+                                    f"{names} may not be primary")
+    return dec
 
 
 def _primes_of(dec):

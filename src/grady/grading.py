@@ -12,8 +12,8 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .groebner import Ideal, _published, _restrict, eliminate
-from .poly import GREVLEX, Polynomial, ResourceLimitError, fresh_names
+from .groebner import _eliminated, _extension, _published
+from .poly import GREVLEX, Polynomial, ResourceLimitError
 
 # star eliminates over s^m - 1 for each used torsion modulus m, in time
 # that grows faster than m^2: on a 2-core VM, star of (x - 1) over F5
@@ -136,28 +136,30 @@ def homogeneous_components(f, graded):
 
 def degree_of(f, graded):
     """Degree of a nonzero homogeneous polynomial, else None."""
-    comps = homogeneous_components(f, graded)
-    if len(comps) != 1:
-        return None
-    return next(iter(comps))
+    degrees = {graded.degree_of_monomial(m) for m in f.terms}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def is_homogeneous(f, graded):
-    return len(homogeneous_components(f, graded)) <= 1
+    return f.is_zero or degree_of(f, graded) is not None
 
 
 def is_g_ideal(I, graded):
-    """True when every homogeneous component of every generator lies in I
-    (equivalently, I is generated by homogeneous elements)."""
+    """True when I is generated by homogeneous elements: the group is
+    trivial, every generator is homogeneous, or every element of I's
+    reduced grevlex basis is.
+
+    The last test is exact.  If I is homogeneous and g is a reduced basis
+    element, the components of g that miss the degree of its lead sum to
+    an element of I whose terms are all tail terms of g; no lead of the
+    basis divides a tail term, so that element is its own normal form,
+    hence zero, and g is homogeneous.
+    """
     if I.ring != graded.ring:
         raise ValueError("ideal and grading live on different rings")
-    for g in I.generators:
-        comps = homogeneous_components(g, graded)
-        if len(comps) <= 1:
-            continue
-        if not all(I.contains(c) for c in comps.values()):
-            return False
-    return True
+    return (graded.group.is_trivial
+            or all(is_homogeneous(g, graded) for g in I.generators)
+            or all(is_homogeneous(g, graded) for g in I.groebner().elements))
 
 
 def star(I, graded):
@@ -173,15 +175,11 @@ def star(I, graded):
     ring = I.ring
     if ring != graded.ring:
         raise ValueError("ideal and grading live on different rings")
-    # An ideal with a homogeneous reduced basis (zero, monomial, or under
-    # the trivial grading) is its own star.  The result's generators are
-    # that basis: I itself when it holds exactly its basis, else the basis
-    # published.  Otherwise a component of an inhomogeneous reduced basis
-    # element that misses its lead has no term in the leading ideal, so it
-    # lies outside I: only the elimination below can find the star.
+    # A homogeneous ideal is its own star, and the star's generators are
+    # always its reduced basis: I itself when it holds exactly that basis,
+    # else the basis published.
     gb = I.groebner(GREVLEX)
-    if gb.is_monomial or graded.group.is_trivial \
-            or all(is_homogeneous(g, graded) for g in gb.elements):
+    if gb.is_monomial or is_g_ideal(I, graded):
         if I.generators == gb.elements:
             return I
         return _published(ring, gb.elements, gb.leads)
@@ -197,47 +195,23 @@ def star(I, graded):
                 f"star would eliminate over the relation s^{moduli[k]} - 1, "
                 f"over the torsion modulus budget of {MAX_TORSION_MODULUS}")
 
-    taken = set(ring.variables)
-    u_names = fresh_names("u", len(free_used), taken)
-    taken.update(u_names)
-    s_names = fresh_names("s", len(tors_used), taken)
-    taken.update(s_names)
-    z_names = fresh_names("z", 1, taken) if free_used else []
-    big = ring.extend(u_names + s_names + list(z_names))
-
-    n = ring.nvars
-    u_at = {j: n + pos for pos, j in enumerate(free_used)}
-    s_at = {k: n + len(free_used) + pos for pos, k in enumerate(tors_used)}
-    z_at = n + len(free_used) + len(tors_used) if free_used else None
-    aux = list(range(n, big.nvars))
-
+    # Auxiliaries after the ring's variables: the u_j, the s_k, then z.
+    n, nu, ns = ring.nvars, len(free_used), len(tors_used)
+    nz = 1 if free_used else 0
+    big, _ = _extension(ring, nu + ns + nz)
+    pad = (0,) * nz
     lifted = []
     for g in gb.by_lead_descending():
-        term_data = []
-        for m, c in g.terms.items():
-            d = graded.degree_of_monomial(m)
-            term_data.append((m, c, d))
-        shift = {j: max(d.free[j] for _, _, d in term_data)
-                 for j in free_used}
-        terms = {}
-        for m, c, d in term_data:
-            e = list(m) + [0] * (big.nvars - n)
-            for j in free_used:
-                e[u_at[j]] = shift[j] - d.free[j]
-            for k in tors_used:
-                e[s_at[k]] = d.torsion[k]
-            terms[tuple(e)] = c
-        lifted.append(Polynomial(big, terms))
-
-    relations = []
-    for k in tors_used:
-        s = big.gen(s_at[k])
-        relations.append(s ** moduli[k] - big.one())
+        degrees = {m: graded.degree_of_monomial(m) for m in g.terms}
+        top = [max(d.free[j] for d in degrees.values()) for j in free_used]
+        lifted.append(Polynomial(big, {
+            m + tuple(t - d.free[j] for t, j in zip(top, free_used))
+            + tuple(d.torsion[k] for k in tors_used) + pad: g.terms[m]
+            for m, d in degrees.items()}, _clean=True))
+    one = big.one()
+    relations = [big.gen(n + nu + at) ** moduli[k] - one
+                 for at, k in enumerate(tors_used)]
     if free_used:
-        prod = big.one()
-        for j in free_used:
-            prod = prod * big.gen(u_at[j])
-        relations.append(big.one() - big.gen(z_at) * prod)
-
-    upstairs = eliminate(Ideal(big, lifted + relations), aux)
-    return _restrict(upstairs, ring)
+        relations.append(
+            one - big.monomial((0,) * n + (1,) * nu + (0,) * ns + (1,)))
+    return _eliminated(big, lifted + relations, ring)

@@ -24,8 +24,9 @@ publishes the slice of its reduced elimination basis free of the
 eliminated variables, with the elimination leads: the block order is
 grevlex there and the whole basis is reduced, so the slice is the
 reduced grevlex basis of the elimination ideal, ascending, with the same
-leads; _restrict carries it to the small ring for intersect, saturation
-and star, cutting the leads to the small ring's variables.
+leads; _eliminated carries it to the small ring for intersect, saturation
+and star, whose auxiliaries _extension appends, cutting the leads to the
+small ring's variables.
 """
 
 from __future__ import annotations
@@ -397,25 +398,23 @@ def ideal_power(I, n):
     return out
 
 
-def _lift(ideal_or_polys, big, var_map):
-    return [f.map_to(big, var_map) for f in ideal_or_polys]
+def _extension(ring, count):
+    """ring with count auxiliary variables appended, and the map lifting a
+    polynomial of ring into it."""
+    big = ring.extend(fresh_names("t", count, ring.variables))
+    pad = (0,) * count
+    return big, lambda f: Polynomial(
+        big, {m + pad: c for m, c in f.terms.items()}, _clean=True)
 
 
-def _extension(ring, label, count=1):
-    names = fresh_names(label, count, ring.variables)
-    big = ring.extend(names)
-    var_map = {i: i for i in range(ring.nvars)}
-    new_idx = tuple(range(ring.nvars, ring.nvars + count))
-    return big, var_map, new_idx
-
-
-def _restrict(ideal, small):
-    """An eliminate result free of the extension's trailing variables,
-    published in the small ring with its basis."""
-    back = {i: i for i in range(small.nvars)}
-    gb = ideal.groebner(GREVLEX)
-    return _published(small, [f.map_to(small, back) for f in gb.elements],
-                      [lm[:small.nvars] for lm in gb.leads])
+def _eliminated(big, gens, ring):
+    """The ideal gens generate in big, an _extension of ring, met with
+    ring: big's trailing variables eliminated, published in ring (the
+    variables matched by name) with its basis."""
+    n = ring.nvars
+    gb = eliminate(Ideal(big, gens), range(n, big.nvars)).groebner(GREVLEX)
+    return _published(ring, [f.map_to(ring) for f in gb.elements],
+                      [lm[:n] for lm in gb.leads])
 
 
 def eliminate(ideal, variables):
@@ -445,12 +444,12 @@ def intersect(I, J):
         return Ideal(ring)
     if I.is_monomial and J.is_monomial:
         return intersect_all([I, J])
-    big, var_map, (ti,) = _extension(ring, "t")
-    t = big.gen(ti)
+    big, lift = _extension(ring, 1)
+    t = big.gen(ring.nvars)
     one = big.one()
-    gens = [t * f for f in _lift(I.groebner(GREVLEX), big, var_map)]
-    gens += [(one - t) * g for g in _lift(J.groebner(GREVLEX), big, var_map)]
-    return _restrict(eliminate(Ideal(big, gens), [ti]), ring)
+    gens = [t * lift(f) for f in I.groebner(GREVLEX)]
+    gens += [(one - t) * lift(g) for g in J.groebner(GREVLEX)]
+    return _eliminated(big, gens, ring)
 
 
 def intersect_all(ideals, ring=None):
@@ -528,6 +527,13 @@ def _colon_poly(I, g):
 MAX_SATURATION_EXPONENT = 1000
 
 
+def _rabinowitsch(polys, f):
+    """The polys and 1 - z*f, lifted to f's ring extended by z."""
+    big, lift = _extension(f.ring, 1)
+    return big, [*map(lift, polys),
+                 big.one() - big.gen(f.ring.nvars) * lift(f)]
+
+
 def _saturation(I, f):
     """I : f^infinity, from one elimination with the inverted-variable
     relation 1 - z*f."""
@@ -536,10 +542,7 @@ def _saturation(I, f):
         raise ValueError("saturation by zero")
     if f.is_constant:
         return Ideal(ring, I.generators)
-    big, var_map, (zi,) = _extension(ring, "z")
-    rel = big.one() - big.gen(zi) * f.map_to(big, var_map)
-    up = Ideal(big, _lift(I.groebner(GREVLEX), big, var_map) + [rel])
-    return _restrict(eliminate(up, [zi]), ring)
+    return _eliminated(*_rabinowitsch(I.groebner(GREVLEX), f), ring)
 
 
 def saturate(I, f):
@@ -576,13 +579,10 @@ def saturate_ideal(I, J):
 
 def radical_membership(f, I):
     """Rabinowitsch test: f in sqrt(I) iff 1 in I + (1 - z*f)."""
-    ring = I.ring
     if f.is_zero:
         return True
-    big, var_map, (zi,) = _extension(ring, "z")
-    rel = big.one() - big.gen(zi) * f.map_to(big, var_map)
-    up = Ideal(big, _lift(I.generators, big, var_map) + [rel])
-    return up.is_unit
+    big, gens = _rabinowitsch(I.generators, f)
+    return Ideal(big, gens).is_unit
 
 
 # ---------------------------------------------------------------------------

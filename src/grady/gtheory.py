@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from .decomposition import (ASSUMED, VERIFIED, Decomposition,
                             PrimaryComponent, UnsupportedClassError,
-                            _decompose_for_primes, _inclusion_minimal,
-                            _irredundant, _meet_view, _primes_of,
-                            associated_primes, check_minimal,
+                            _certified, _decompose_for_primes,
+                            _inclusion_minimal, _irredundant, _meet_view,
+                            _primes_of, check_minimal,
                             classical_decomposition, minimal_primes,
                             radical_ideal)
 from .grading import is_g_ideal, star
@@ -77,8 +77,8 @@ def is_g_primary(Q, graded):
     if Q.is_unit:
         return False
     _require_homogeneous(Q, graded, "is_g_primary")
-    return _stars_to_itself(Q, _star_memo(graded),
-                            classical_decomposition(Q))
+    return _stars_to_itself(Q, _star_memo(graded), _certified(
+        classical_decomposition(Q), "the G-primary test is not certified"))
 
 
 def g_primary_decomposition(N, graded, classical=None):
@@ -149,15 +149,8 @@ def _g_ass(N, star_of, dec, gdec):
     radicals = [c.radical for c in gdec.components]
     if len(radicals) != len(out) or \
             any(not any(P == Q for Q in radicals) for P in out):
-        assumed = [c.component for c in dec.components
-                   if c.status == ASSUMED]
-        if assumed:
-            names = " and ".join("(" + ", ".join(_canon_key(C)) + ")"
-                                 for C in assumed)
-            raise UnsupportedClassError(
-                f"G-associated primes disagree with the G-primary "
-                f"decomposition; the assumed component {names} may not "
-                f"be primary")
+        _certified(dec, "G-associated primes disagree with the G-primary "
+                   "decomposition")
         raise AssertionError("G-associated primes disagree with the "
                              "G-primary decomposition")
     return out
@@ -306,7 +299,7 @@ def verify_theorem_suite(I, graded):
     try:
         ok = True
         for c in gdec.components:
-            c_ass = associated_primes(c.component)
+            c_ass = _primes_of(classical_decomposition(c.component))
             c_min = _inclusion_minimal(c_ass)
             if len(c_ass) != len(c_min) or \
                     any(not any(p == q for q in c_min) for p in c_ass):

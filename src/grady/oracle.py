@@ -409,7 +409,8 @@ def oracle_compare(I, graded, degree_bound=None, star_ideal=None):
 
     Over Q the check is a heuristic, labeled so in the verdict: I and
     its rational star are reduced mod each of _RATIONAL_PRIMES whose
-    reduction does not degenerate, and every such prime must agree.
+    reduction does not degenerate and takes I's generators and I's
+    reduced basis to the same ideal, and every such prime must agree.
     """
     S = star(I, graded) if star_ideal is None else star_ideal
     if degree_bound is None:
@@ -417,9 +418,12 @@ def oracle_compare(I, graded, degree_bound=None, star_ideal=None):
     if I.ring.field.characteristic:
         return _compare_mod_p(I, graded, degree_bound, S)
     used = []
+    basis = Ideal(I.ring, I.groebner().elements)
     for p in _RATIONAL_PRIMES:
         try:
             Ip, Sp = reduce_ideal_mod(I, p), reduce_ideal_mod(S, p)
+            if reduce_ideal_mod(basis, p) != Ip:
+                continue
         except BadPrimeError:
             continue
         verdict = _compare_mod_p(

@@ -283,6 +283,32 @@ def test_assumed_component_mismatch_is_a_typed_refusal(tmp_path, capsys, op):
     assert checks["g-ass-equals-g-min-iff-classical"] == "unsupported"
 
 
+@pytest.mark.parametrize("op, code", [
+    ("ass", 3), ("min", 3), ("g_ass", 3), ("g_min", 3), ("is_g_prime", 3),
+    ("is_g_primary", 3), ("decompose", 0), ("gdecomp", 0), ("grad", 0),
+    ("theorems", 0)])
+def test_answers_resting_on_an_assumed_component_are_refused(
+        tmp_path, capsys, op, code):
+    """(x^2 + 1)(x^2 + 2) over Q keeps one assumed component.  The ops
+    whose payload has no status would call it prime, so they refuse; the
+    ones that carry the status still answer."""
+    doc = {"ring": {"field": "Q", "vars": ["x"]},
+           "grading": {"free_rank": 0, "torsion": [2],
+                       "degrees": [[[], [1]]]},
+           "ideals": {"I": ["x^4 + 3*x^2 + 2"]},
+           "command": {"op": op, "args": ["I"], "options": {}}}
+    assert cli.main(["run", _write_job(tmp_path, doc)]) == code
+    out, err = capsys.readouterr()
+    result = json.loads(out)
+    assert "Traceback" not in err
+    if code == 3:
+        assert result["payload"]["reason"] == "unsupported-class"
+        assert "assumed component (x^4 + 3*x^2 + 2)" in \
+            result["payload"]["detail"]
+    else:
+        assert result["status"] == "ok"
+
+
 @pytest.mark.parametrize("generator, position", [
     ("x^\u00b2", 2), ("\u00b2", 0), ("x^\u0661\u0662", 2)])
 def test_non_ascii_digits_are_input_errors(tmp_path, capsys, generator,

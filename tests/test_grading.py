@@ -3,13 +3,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grady.grading import (GradedRing, GradingGroup, Hdeg, degree_of,
                            homogeneous_components, is_g_ideal, is_homogeneous,
                            star)
 from grady.groebner import Ideal, colon, intersect
 from grady.oracle import oracle_compare
-from grady.poly import GF, QQ, PolynomialRing, parse_polynomial
+from grady.poly import GF, QQ, Polynomial, PolynomialRing, parse_polynomial
 
 from conftest import line_with_torsion
 
@@ -50,6 +52,51 @@ def test_homogeneous_components(Rxy, fine_xy):
 def test_is_g_ideal(q_ideal, q_star, fine_xy):
     assert not is_g_ideal(q_ideal, fine_xy)
     assert is_g_ideal(q_star, fine_xy)
+
+
+@st.composite
+def _graded_ideals(draw):
+    """An ideal of F5 or Q in one or two variables, graded by Z^r plus at
+    most one Z/m."""
+    field = draw(st.sampled_from((GF(5), QQ)))
+    n = draw(st.integers(1, 2))
+    ring = PolynomialRing(field, ("x", "y")[:n])
+    mono = st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda vs: tuple(vs.count(i) for i in range(n)))
+    coeff = st.integers(1, 4) | st.integers(-4, -1)
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(
+        lambda t: Polynomial(ring, t))
+    I = Ideal(ring, draw(st.lists(poly, min_size=1, max_size=3)))
+    rank = draw(st.integers(0, 2))
+    torsion = draw(st.lists(st.sampled_from((2, 3, 4)), max_size=1))
+    degrees = [(tuple(draw(st.integers(-1, 1)) for _ in range(rank)),
+                tuple(draw(st.integers(0, m - 1)) for m in torsion))
+               for _ in range(n)]
+    return I, GradedRing(ring, GradingGroup(rank, tuple(torsion)), degrees)
+
+
+_QXY = PolynomialRing(QQ, ("x", "y"))
+_FINE_QXY = GradedRing(_QXY, GradingGroup(2, ()),
+                       [((1, 0), ()), ((0, 1), ())])
+
+
+# (x + y, y) is (x, y): inhomogeneous generators of a homogeneous ideal
+@settings(max_examples=100, deadline=None)
+@given(_graded_ideals())
+@example((Ideal(_QXY, ["x + y", "y"]), _FINE_QXY))
+def test_is_g_ideal_reads_the_reduced_basis(case):
+    """is_g_ideal agrees with its definition (every component of every
+    generator lies in I) and with star(I) == I; degree_of and
+    is_homogeneous agree with homogeneous_components."""
+    I, graded = case
+    definition = all(I.contains(c) for g in I.generators
+                     for c in homogeneous_components(g, graded).values())
+    assert is_g_ideal(I, graded) == definition == (star(I, graded) == I)
+    for f in I.generators + I.groebner().elements:
+        comps = homogeneous_components(f, graded)
+        assert is_homogeneous(f, graded) == (len(comps) <= 1)
+        assert degree_of(f, graded) == \
+            (next(iter(comps)) if len(comps) == 1 else None)
 
 
 def test_star_of_running_example(q_ideal, q_star, fine_xy):

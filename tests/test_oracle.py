@@ -145,6 +145,13 @@ def test_rational_oracle_skips_a_bad_prime(gens, reason):
     assert (v.status, v.reason) == ("pass", reason)
 
 
+def test_rational_oracle_skips_a_prime_that_changes_the_ideal():
+    # (x^2 - 5*x, x^2) is (x), but its generators reduce to (x^2) mod 5
+    ring = PolynomialRing(QQ, ("x",))
+    v = oracle_compare(Ideal(ring, ["x^2 - 5*x", "x^2"]), ungraded(ring))
+    assert (v.status, v.reason) == ("pass", "heuristic: agreement mod 7, 11")
+
+
 def test_rational_oracle_reports_the_failing_prime():
     ring, graded = line_with_torsion(QQ, 2)
     v = oracle_compare(Ideal(ring, ["x - 1"]), graded, 6,
