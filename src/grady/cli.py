@@ -4,9 +4,10 @@ grady run <jobfile>      execute one job document ("-" reads stdin)
 grady verify <jobfile>   theorem suite + truncation oracle per ideal
 grady selftest           full acceptance suite, one line per criterion
 
-Results go to stdout; timing and diagnostics go to stderr.  Exit codes:
-0 ok, 1 internal failure or failed verification, 2 input error,
-3 unsupported class.
+Results go to stdout; timing and diagnostics go to stderr.  The exit
+code is read off the result document (ResultDocument.exit_code): 0 ok,
+1 internal failure or failed verification, 2 input error, 3 unsupported
+class or over a budget.
 """
 
 from __future__ import annotations
@@ -19,53 +20,31 @@ from .jobs import (JobError, ResultDocument, execute_job, parse_job,
 
 
 def _read_source(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeError) as exc:
+        raise JobError("$", f"cannot read job file: {exc}")
 
 
-def _load_job(path):
+def _cmd_job(args):
+    """grady run and grady verify: one document in, one document out."""
     try:
-        text = _read_source(path)
-    except OSError as exc:
-        print(f"cannot read job file: {exc}", file=sys.stderr)
-        return None, 2
-    try:
-        job = parse_job(text)
+        job = parse_job(_read_source(args.jobfile))
     except JobError as exc:
         doc = ResultDocument("error",
                              {"reason": "input-error", "detail": str(exc)},
                              0.0, "error")
         print(doc.to_json())
         print(str(exc), file=sys.stderr)
-        return None, 2
-    return job, 0
-
-
-def _emit(doc, fmt):
-    print(render_result(doc, fmt))
+        return doc.exit_code
+    # looked up per call, so verify_document can be replaced in tests
+    doc = (execute_job if args.cmd == "run" else verify_document)(job)
+    print(render_result(doc, args.format or job.options.get("format", "json")))
     print(f"# elapsed_ms={doc.timing_ms:.1f}", file=sys.stderr)
-
-
-def _cmd_run(args):
-    job, code = _load_job(args.jobfile)
-    if job is None:
-        return code
-    doc = execute_job(job)
-    fmt = args.format or job.options.get("format", "json")
-    _emit(doc, fmt)
     return doc.exit_code
-
-
-def _cmd_verify(args):
-    job, code = _load_job(args.jobfile)
-    if job is None:
-        return code
-    doc = verify_document(job)
-    fmt = args.format or job.options.get("format", "json")
-    _emit(doc, fmt)
-    return 1 if doc.payload.get("failed") else 0
 
 
 def _cmd_selftest(args):
@@ -89,16 +68,14 @@ def main(argv=None):
                     "decomposition, Fitting ideals, truncation oracle")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_run = sub.add_parser("run", help="execute a job document")
-    p_run.add_argument("jobfile", help='path to a JSON job, or "-" for stdin')
-    p_run.add_argument("--format", choices=("json", "text"), default=None)
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_verify = sub.add_parser(
-        "verify", help="run the theorem suite and oracle on a job's ideals")
-    p_verify.add_argument("jobfile")
-    p_verify.add_argument("--format", choices=("json", "text"), default=None)
-    p_verify.set_defaults(fn=_cmd_verify)
+    for cmd, what in (("run", "execute a job document"),
+                      ("verify", "run the theorem suite and oracle on a "
+                                 "job's ideals")):
+        p_job = sub.add_parser(cmd, help=what)
+        p_job.add_argument("jobfile",
+                           help='path to a JSON job, or "-" for stdin')
+        p_job.add_argument("--format", choices=("json", "text"), default=None)
+        p_job.set_defaults(fn=_cmd_job)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
     p_self.add_argument("--seed", type=int, default=0)

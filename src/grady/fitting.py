@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .grading import Hdeg, degree_of, is_g_ideal
+from .grading import degree_of, is_g_ideal
 from .groebner import Ideal
 from .poly import parse_polynomial
 
@@ -92,10 +92,8 @@ def graded_matrix_check(M, graded):
     if len(M.row_degrees) != M.rows or len(M.col_degrees) != M.cols:
         raise ValueError("degree list lengths do not match the grid")
     group = graded.group
-    row_degs = [d if isinstance(d, Hdeg) else group.degree(*d)
-                for d in M.row_degrees]
-    col_degs = [d if isinstance(d, Hdeg) else group.degree(*d)
-                for d in M.col_degrees]
+    row_degs = [group.degree(*d) for d in M.row_degrees]
+    col_degs = [group.degree(*d) for d in M.col_degrees]
 
     checks = []
     ok_entries = True

@@ -93,13 +93,12 @@ class GradedRing:
     __slots__ = ("ring", "group", "weights")
 
     def __init__(self, ring, group, degrees):
-        degrees = tuple(
-            d if isinstance(d, Hdeg) else group.degree(*d) for d in degrees)
-        if len(degrees) != ring.nvars:
+        # an Hdeg unpacks as (free, torsion) too, and is checked the same
+        rows = [group.degree(*d) for d in degrees]
+        if len(rows) != ring.nvars:
             raise ValueError("need exactly one degree per variable")
         self.ring = ring
         self.group = group
-        rows = [group.degree(d.free, d.torsion) for d in degrees]
         self.weights = tuple(zip(*(d.free + d.torsion for d in rows)))
 
     @property

@@ -254,8 +254,11 @@ def _reduce_basis(entries, order, ring):
     leads = [lm for lm, _ in kept]
     final = []
     for idx, (lm, terms) in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        reduced = _reduce_full(dict(terms), others, order, field)
+        # Every term the reduction meets is at most lm, and a later lead
+        # is larger than lm: it cannot divide such a term (a divisor is
+        # never larger than its multiple), so the earlier leads alone
+        # give the same remainder.
+        reduced = _reduce_full(dict(terms), kept[:idx], order, field)
         final.append(Polynomial(ring, reduced, _clean=True))
     return leads, final
 

@@ -137,7 +137,7 @@ def _starred(primes, star_of):
     return out
 
 
-def _g_ass(N, star_of, dec, gdec):
+def _g_ass(N, star_of, dec, gdec=None):
     """Stars of Ass(N), read from its minimal classical decomposition
     dec, cross-checked against the G-radicals of gdec (built from dec
     when None).  A mismatch means an assumed component of dec is not
@@ -156,7 +156,7 @@ def _g_ass(N, star_of, dec, gdec):
     return out
 
 
-def _g_min(N, star_of, dec, gdec):
+def _g_min(N, star_of, dec, gdec=None):
     """Stars of the inclusion-minimal members of Ass(N); every
     G-associated prime must contain one of them."""
     out = _starred(_inclusion_minimal(_primes_of(dec)), star_of)
@@ -167,19 +167,19 @@ def _g_min(N, star_of, dec, gdec):
     return out
 
 
-def g_associated_primes(N, graded, gdec=None):
+def g_associated_primes(N, graded):
     """Stars of the classical associated primes, deduplicated."""
     _require_homogeneous(N, graded, "g_associated_primes")
     return _g_ass(N, _star_memo(graded),
-                  _decompose_for_primes(N, "associated primes"), gdec)
+                  _decompose_for_primes(N, "associated primes"))
 
 
-def g_minimal_primes(N, graded, gdec=None):
+def g_minimal_primes(N, graded):
     """Stars of the inclusion-minimal classical associated primes,
     deduplicated."""
     _require_homogeneous(N, graded, "g_minimal_primes")
     return _g_min(N, _star_memo(graded),
-                  _decompose_for_primes(N, "minimal primes"), gdec)
+                  _decompose_for_primes(N, "minimal primes"))
 
 
 def poset_component(gdec, omega):
@@ -263,11 +263,6 @@ def verify_theorem_suite(I, graded):
     assumed (resting on an assumed classical component) or unsupported
     (class dispatch failed), and nothing is ever silently skipped.
     """
-    checks = []
-
-    def add(name, status, detail=""):
-        checks.append({"name": name, "status": status, "detail": detail})
-
     # The target's classical decomposition, once (after the homogeneity
     # check g_primary_decomposition makes first); every check below reads
     # Ass(I), Min(I) and the G-primary decomposition from it.
@@ -279,9 +274,11 @@ def verify_theorem_suite(I, graded):
     mins = _inclusion_minimal(ass)
     certified = all(c.status == VERIFIED for c in gdec.components)
 
-    # (a) concatenating classical decompositions of the G-components
-    # yields a minimal classical decomposition of the target.
-    try:
+    # Each check returns (status, detail) and is reported under its name,
+    # underscores read as hyphens.
+    def concatenated_classical_minimal():
+        """(a) Concatenating classical decompositions of the G-components
+        yields a minimal classical decomposition of the target."""
         pieces = [p for c in gdec.components
                   for p in classical_decomposition(c.component).components]
         try:
@@ -290,64 +287,56 @@ def verify_theorem_suite(I, graded):
                 all(p.status == VERIFIED for p in pieces) else "assumed"
         except AssertionError:
             status = "fail"
-        add("concatenated-classical-minimal", status,
-            f"{len(pieces)} classical components")
-    except UnsupportedClassError as exc:
-        add("concatenated-classical-minimal", "unsupported", str(exc))
+        return status, f"{len(pieces)} classical components"
 
-    # (b) G-primary components have no embedded primes.
-    try:
-        ok = True
+    def components_have_no_embedded_primes():
+        """(b) G-primary components have no embedded primes.
+        _inclusion_minimal returns a sublist, so equal lengths mean the
+        lists are equal."""
+        detail = f"{len(gdec.components)} components"
         for c in gdec.components:
             c_ass = _primes_of(classical_decomposition(c.component))
-            c_min = _inclusion_minimal(c_ass)
-            if len(c_ass) != len(c_min) or \
-                    any(not any(p == q for q in c_min) for p in c_ass):
-                ok = False
-                break
-        add("components-have-no-embedded-primes",
-            "pass" if ok else "fail", f"{len(gdec.components)} components")
-    except UnsupportedClassError as exc:
-        add("components-have-no-embedded-primes", "unsupported", str(exc))
+            if len(_inclusion_minimal(c_ass)) != len(c_ass):
+                return "fail", detail
+        return "pass", detail
 
-    # (c) Ass_G equals Min_G exactly when Ass equals Min.
-    try:
-        classical_flat = len(ass) == len(mins)
+    def g_ass_equals_g_min_iff_classical():
+        """(c) Ass_G equals Min_G exactly when Ass equals Min."""
         gass = _g_ass(I, star_of, dec, gdec)
         gmin = _g_min(I, star_of, dec, gdec)
-        g_flat = len(gass) == len(gmin)
-        add("g-ass-equals-g-min-iff-classical",
-            "pass" if classical_flat == g_flat else "fail",
-            f"classical {len(ass)}/{len(mins)}, graded "
-            f"{len(gass)}/{len(gmin)}")
-    except UnsupportedClassError as exc:
-        add("g-ass-equals-g-min-iff-classical", "unsupported", str(exc))
+        same = (len(ass) == len(mins)) == (len(gass) == len(gmin))
+        return "pass" if same else "fail", \
+            f"classical {len(ass)}/{len(mins)}, graded " \
+            f"{len(gass)}/{len(gmin)}"
 
-    # (d) a G-radical ideal (the star of its radical, the intersection
-    # of Ass(I), is I itself) has no embedded primes.
-    try:
-        if star(intersect_all(ass, I.ring), graded) == I:
-            ok = len(ass) == len(mins)
-            add("g-radical-has-no-embedded-primes",
-                "pass" if ok else "fail", f"{len(ass)} associated primes")
-        else:
-            add("g-radical-has-no-embedded-primes", "pass",
-                "vacuous: ideal is not G-radical")
-    except UnsupportedClassError as exc:
-        add("g-radical-has-no-embedded-primes", "unsupported", str(exc))
+    def g_radical_has_no_embedded_primes():
+        """(d) A G-radical ideal (the star of its radical, the
+        intersection of Ass(I), is I itself) has no embedded primes."""
+        if star(intersect_all(ass, I.ring), graded) != I:
+            return "pass", "vacuous: ideal is not G-radical"
+        return "pass" if len(ass) == len(mins) else "fail", \
+            f"{len(ass)} associated primes"
 
-    # (e) a G-primary ideal is equidimensional.
-    try:
-        if _stars_to_itself(I, star_of, dec):
-            dims = {_dimension_of_prime(p) for p in mins}
-            add("g-primary-is-equidimensional",
-                "pass" if len(dims) == 1 else "fail",
-                f"dimensions {sorted(dims)}")
-        else:
-            add("g-primary-is-equidimensional", "pass",
-                "vacuous: ideal is not G-primary")
-    except UnsupportedClassError as exc:
-        add("g-primary-is-equidimensional", "unsupported", str(exc))
+    def g_primary_is_equidimensional():
+        """(e) A G-primary ideal is equidimensional."""
+        if not _stars_to_itself(I, star_of, dec):
+            return "pass", "vacuous: ideal is not G-primary"
+        dims = {_dimension_of_prime(p) for p in mins}
+        return "pass" if len(dims) == 1 else "fail", \
+            f"dimensions {sorted(dims)}"
+
+    checks = []
+    for check in (concatenated_classical_minimal,
+                  components_have_no_embedded_primes,
+                  g_ass_equals_g_min_iff_classical,
+                  g_radical_has_no_embedded_primes,
+                  g_primary_is_equidimensional):
+        try:
+            status, detail = check()
+        except UnsupportedClassError as exc:
+            status, detail = "unsupported", str(exc)
+        checks.append({"name": check.__name__.replace("_", "-"),
+                       "status": status, "detail": detail})
 
     if any(c["status"] == "fail" for c in checks):
         overall = "fail"

@@ -138,7 +138,9 @@ def _no_constant(name):
 def parse_job(text):
     try:
         data = json.loads(text, parse_constant=_no_constant)
-    except json.JSONDecodeError as exc:
+    except JobError:
+        raise
+    except ValueError as exc:   # malformed, or an integer over int()'s limit
         raise JobError("$", f"invalid JSON: {exc}")
     _expect(data, "$", dict, "a JSON object")
     _only_keys(data, "$",
@@ -232,14 +234,14 @@ class ResultDocument:
 
     @property
     def exit_code(self):
+        """The one exit rule: 0 ok, 1 a failed verification or an internal
+        failure, 2 an input error, 3 unsupported."""
+        p = self.payload if isinstance(self.payload, dict) else {}
         if self.status == "ok":
-            return 0
+            return 1 if p.get("failed") else 0
         if self.status == "unsupported":
             return 3
-        if isinstance(self.payload, dict) and \
-                self.payload.get("reason") == "input-error":
-            return 2
-        return 1
+        return 2 if p.get("reason") == "input-error" else 1
 
     def to_json(self):
         return json.dumps({"status": self.status, "payload": self.payload},
@@ -394,6 +396,17 @@ OPS = {
 }
 
 
+def _refusal(exc):
+    """(document status, payload reason) of an op that raised exc."""
+    if isinstance(exc, UnsupportedClassError):
+        return "unsupported", "unsupported-class"
+    if isinstance(exc, ResourceLimitError):
+        return "unsupported", "budget"
+    if isinstance(exc, (ValueError, ArithmeticError)):
+        return "error", "input-error"
+    return "error", "internal-error"
+
+
 def execute_job(job):
     start = time.perf_counter()
     try:
@@ -401,19 +414,11 @@ def execute_job(job):
         args = [_arg(job, i, k) for i, k in enumerate(kinds)]
         payload = _PAYLOADS[kind](fn(job, *args))
         status = "ok"
-    except UnsupportedClassError as exc:
-        payload = {"reason": "unsupported-class", "detail": str(exc)}
-        status, kind = "unsupported", "error"
-    except ResourceLimitError as exc:
-        payload = {"reason": "budget", "detail": str(exc)}
-        status, kind = "unsupported", "error"
-    except (ValueError, ArithmeticError) as exc:
-        payload = {"reason": "input-error", "detail": str(exc)}
-        status, kind = "error", "error"
-    except Exception as exc:   # pragma: no cover - defensive
-        payload = {"reason": "internal-error",
-                   "detail": f"{type(exc).__name__}: {exc}"}
-        status, kind = "error", "error"
+    except Exception as exc:
+        status, reason = _refusal(exc)
+        detail = f"{type(exc).__name__}: {exc}" \
+            if reason == "internal-error" else str(exc)
+        payload, kind = {"reason": reason, "detail": detail}, "error"
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultDocument(status, payload, elapsed, kind)
 
@@ -422,8 +427,8 @@ def verify_document(job):
     """Theorem suite plus oracle comparison for every named ideal.
 
     The document status stays "ok" whenever the checks themselves ran;
-    failed checks are visible in the payload and in the exit code the
-    CLI derives from it.
+    failed checks are visible in the payload, whose "failed" key sets
+    the exit code.
     """
     start = time.perf_counter()
     payload = {"ideals": {}}
@@ -433,11 +438,11 @@ def verify_document(job):
         entry = {}
         try:
             report = verify_theorem_suite(I, job.graded)
-        except (UnsupportedClassError, ResourceLimitError) as exc:
-            report = {"status": "unsupported", "checks": [],
-                      "detail": str(exc)}
-        except (ValueError, ArithmeticError) as exc:
-            report = {"status": "error", "checks": [], "detail": str(exc)}
+        except Exception as exc:
+            status, reason = _refusal(exc)
+            if reason == "internal-error":
+                raise
+            report = {"status": status, "checks": [], "detail": str(exc)}
         entry["theorems"] = report
         failed = failed or report["status"] == "fail"
 

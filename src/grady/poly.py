@@ -227,9 +227,6 @@ class PolynomialRing:
         e[i] = 1
         return Polynomial(self, {tuple(e): self.field.one})
 
-    def gens(self):
-        return tuple(self.gen(i) for i in range(self.nvars))
-
     def monomial(self, exps, coeff=None):
         c = self.field.one if coeff is None else coeff
         return Polynomial(self, {tuple(exps): c})
@@ -468,16 +465,14 @@ class Polynomial:
             _add_terms(out, {key: c}, p)
         return Polynomial(ring, out, _clean=True)
 
-    def map_to(self, other_ring, var_map=None):
-        """Reinterpret in other_ring; var_map sends my variable index to the
-        target index (default: match by name).  Unmapped variables must not
-        occur."""
+    def map_to(self, other_ring):
+        """Reinterpret in other_ring, matching variables by name.  A
+        variable other_ring lacks must not occur."""
         ring = self.ring
-        if var_map is None:
-            var_map = {}
-            for i, name in enumerate(ring.variables):
-                if name in other_ring.variables:
-                    var_map[i] = other_ring.variable_index(name)
+        var_map = {}
+        for i, name in enumerate(ring.variables):
+            if name in other_ring.variables:
+                var_map[i] = other_ring.variable_index(name)
         out = {}
         for m, c in self.terms.items():
             e = [0] * other_ring.nvars

@@ -260,10 +260,10 @@ def _criterion_6(ctx):
                       classical_decomposition(c.component).components]
             check_minimal(I, [(p.component, p.radical) for p in pieces])
 
-            gass = g_associated_primes(I, graded, gdec=gdec)
+            gass = g_associated_primes(I, graded)
             assert _same_prime_sets(
                 gass, [star(p, graded) for p in associated_primes(I)])
-            gmin = g_minimal_primes(I, graded, gdec=gdec)
+            gmin = g_minimal_primes(I, graded)
             assert _same_prime_sets(
                 gmin, [star(p, graded) for p in minimal_primes(I)])
         except AssertionError as exc:

@@ -80,6 +80,35 @@ def test_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+@pytest.mark.parametrize("cmd", ["run", "verify"])
+def test_integer_over_the_digit_limit_is_an_input_error(tmp_path, capsys,
+                                                        cmd):
+    """json.loads refuses an integer literal over int()'s digit limit with
+    a plain ValueError; that is invalid JSON, not a crash."""
+    text = json.dumps(STAR_JOB).replace(
+        '"options": {}', '"options": {"degree_bound": ' + "1" * 5000 + "}")
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    code = cli.main([cmd, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    detail = json.loads(out)["payload"]["detail"]
+    assert detail.startswith("$: invalid JSON: ") and "digits" in detail
+
+
+@pytest.mark.parametrize("cmd", ["run", "verify"])
+def test_job_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, cmd):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(STAR_JOB).replace("x^4", "x\xff").encode(
+        "latin-1"))
+    code = cli.main([cmd, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and "cannot read job file" in err
+    assert json.loads(out)["payload"]["reason"] == "input-error"
+
+
 def test_malformed_job(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken", encoding="utf-8")

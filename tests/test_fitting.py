@@ -6,7 +6,7 @@ import pytest
 
 from grady.fitting import (PresentationMatrix, fitting_ideal,
                            graded_matrix_check, map_entries)
-from grady.grading import GradedRing, GradingGroup
+from grady.grading import GradedRing, GradingGroup, Hdeg
 from grady.groebner import Ideal
 from grady.poly import QQ, Polynomial, PolynomialRing
 
@@ -76,6 +76,16 @@ def test_graded_check_needs_degrees(Rxy):
                             [((0,), ()), ((0,), ())])
     with pytest.raises(ValueError):
         graded_matrix_check(M2, _z_graded(Rxy))
+
+
+@pytest.mark.parametrize("wrong", [((1, 1), ()), Hdeg((1, 1), ())],
+                         ids=["tuple", "Hdeg"])
+def test_graded_check_refuses_a_wrongly_shaped_degree(Rxy, wrong):
+    """A row degree of the wrong shape is a usage error in either form,
+    not a failed check."""
+    M = PresentationMatrix(Rxy, [["x"]], [wrong], [((0,), ())])
+    with pytest.raises(ValueError, match="wrong shape"):
+        graded_matrix_check(M, _z_graded(Rxy))
 
 
 def test_map_entries(Rxy):

@@ -37,6 +37,13 @@ def test_graded_ring_validation(Rxy):
         GradedRing(Rxy, G, [((1,), ())])    # one degree missing
 
 
+@pytest.mark.parametrize("wrong", [((1, 1), ()), Hdeg((1, 1), ())],
+                         ids=["tuple", "Hdeg"])
+def test_graded_ring_checks_the_shape_of_every_degree_form(Rxy, wrong):
+    with pytest.raises(ValueError, match="wrong shape"):
+        GradedRing(Rxy, GradingGroup(1, ()), [((1,), ()), wrong])
+
+
 def test_homogeneous_components(Rxy, fine_xy):
     f = parse_polynomial("x^2*y^2 + x*y^3 + x^2", Rxy)
     comps = homogeneous_components(f, fine_xy)
