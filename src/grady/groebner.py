@@ -8,10 +8,10 @@ keyed, and retires the elements whose leads it divides.  Division is
 heap-based (Monagan and Pearce 2007): each monomial's order key is
 computed once, when it first enters the working polynomial.
 
-Determinism contract: S-pairs are processed in a fixed order (lcm under the
-working order, then generator indices), bases are reduced and monic, and
-every published generator list is sorted, so identical inputs give identical
-output bytes.
+Determinism contract: S-pairs are processed in a fixed order (sugar, lcm
+under the working order, then generator indices), bases are reduced and
+monic, and every published generator list is sorted, so identical inputs
+give identical output bytes.
 
 Published bases: a result whose reduced monic grevlex basis is already at
 hand is built by _published from that basis, ascending, and its leads,
@@ -155,8 +155,16 @@ def buchberger(generators, order):
     The generators enter one at a time, ascending by lead, and so does
     each nonzero S-polynomial remainder; every entry runs the
     Gebauer-Moller update (_update).  Queued pairs live in a dict keyed by
-    (i, j) beside a heap of (order key of the pair lcm, i, j), from which
-    deleted pairs are dropped when popped, so runs are reproducible.
+    (i, j) beside a heap of (sugar, order key of the pair lcm, i, j), from
+    which deleted pairs are dropped when popped, so runs are
+    reproducible.
+
+    Pairs are taken by sugar (Giovini, Mora, Niesi, Robbiano and Traverso
+    1991, "One sugar cube, please"): a generator's sugar is its total
+    degree, a pair's is the larger of s_i + deg lcm - deg lm_i over its
+    two elements, and a remainder takes its pair's.  Sugar is the degree
+    the polynomial would have over the homogenized input, so lex and
+    elimination runs no longer chase pairs of high degree first.
     """
     ring = generators[0].ring
     field = ring.field
@@ -173,24 +181,25 @@ def buchberger(generators, order):
     key = order.key
 
     basis = []          # (lm, monic terms); retired entries still reduce
+    sugar = []          # the sugar of each basis entry
     live = []           # indices of the entries that take new pairs
     pairs = {}          # (i, j) -> lcm of every queued pair
     heap = []
-    entries = [_monic(g.leading_monomial(order), g.terms, field)
-               for g in seed]
-    for entry in sorted(entries, key=lambda e: key(e[0])):
-        _update(basis, live, pairs, heap, entry, key)
+    entries = [(_monic(g.leading_monomial(order), g.terms, field),
+                g.total_degree()) for g in seed]
+    for entry, s in sorted(entries, key=lambda e: key(e[0][0])):
+        _update(basis, sugar, live, pairs, heap, entry, s, key)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        s, _, i, j = heapq.heappop(heap)
         lcm = pairs.pop((i, j), None)
         if lcm is None:
             continue
-        s = _spoly_terms(lcm, *basis[i], *basis[j], field)
-        rem = _reduce_full(s, basis, order, field)
+        spoly = _spoly_terms(lcm, *basis[i], *basis[j], field)
+        rem = _reduce_full(spoly, basis, order, field)
         if rem:     # the remainder's first term is its lead
-            _update(basis, live, pairs, heap,
-                    _monic(next(iter(rem)), rem, field), key)
+            _update(basis, sugar, live, pairs, heap,
+                    _monic(next(iter(rem)), rem, field), s, key)
 
     leads, elements = _reduce_basis([basis[i] for i in live], order, ring)
     return GroebnerBasis(ring, order, elements, leads)
@@ -204,9 +213,10 @@ def _monic(lm, terms, field):
     return (lm, _scale_terms(terms, field.inv(c), field.characteristic))
 
 
-def _update(basis, live, pairs, heap, entry, key):
-    """Gebauer-Moller update: append entry h to the basis and queue only
-    the S-pairs the chain and product criteria cannot discard.
+def _update(basis, sugar, live, pairs, heap, entry, s_h, key):
+    """Gebauer-Moller update: append entry h, of sugar s_h, to the basis
+    and queue only the S-pairs the chain and product criteria cannot
+    discard, each under its sugar.
 
     - A new pair (g, h) goes when another new pair's lcm divides its lcm
       (a later one's, or a kept one's, so one of equal lcms survives);
@@ -219,6 +229,7 @@ def _update(basis, live, pairs, heap, entry, key):
     lm_h = entry[0]
     t = len(basis)
     basis.append(entry)
+    sugar.append(s_h)
     new = [(i, mono_lcm(basis[i][0], lm_h),
             not any(map(min, basis[i][0], lm_h))) for i in live]
     kept = []
@@ -236,7 +247,8 @@ def _update(basis, live, pairs, heap, entry, key):
     for i, lcm, coprime in kept:
         if not coprime:
             pairs[i, t] = lcm
-            heapq.heappush(heap, (key(lcm), i, t))
+            s = max(sugar[i] - sum(basis[i][0]), s_h - sum(lm_h))
+            heapq.heappush(heap, (s + sum(lcm), key(lcm), i, t))
     live[:] = [i for i in live if not all(map(le, lm_h, basis[i][0]))]
     live.append(t)
 

@@ -10,10 +10,13 @@ star's top generator degree, the least bound that is not vacuous.
 - Normal forms.  The normal-form matrix of an ideal has one row per
   monomial of the space and one column per standard monomial of its
   grevlex basis.  It is filled by recurrence, as in FGLM (Faugere,
-  Gianni, Lazard and Mora 1993): in ascending grevlex order, a
-  non-standard m = t * lm(g) gets minus the combination of the rows of
-  t * v over the non-lead terms c_v * v of g, all smaller than m and of
-  no larger degree, so already built.  Monomial ideals need only a
+  Gianni, Lazard and Mora 1993): a non-standard m = t * lm(g) gets
+  minus the combination of the rows of t * v over the non-lead terms
+  c_v * v of g, all smaller than m and of no larger degree.  The rows
+  are filled in waves: a standard row has level 0 and a non-standard
+  one level 1 + the largest level among its rows t * v, so each level
+  reads only rows of lower levels and is filled at once, one
+  gather-multiply-mod per tail position.  Monomial ideals need only a
   divisibility mask.
 - The star space.  Membership in the ideal is the kernel of that map;
   membership in the star is the same kernel restricted to each
@@ -36,7 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 
@@ -67,20 +70,25 @@ MAX_SPACE_DIMENSION = 4096
 
 @functools.lru_cache(maxsize=8)
 def _monomial_table(nvars, bound):
-    """(monomials, index, exponent array, ascending grevlex order) of the
-    space of degree <= bound; shared by every space of these sizes."""
+    """(monomials, index, exponent array, ascending grevlex order, counts)
+    of the space of degree <= bound; shared by every space of these
+    sizes.  counts[r, j] is the number of monomials of degree < r in the
+    last nvars - j variables (see TruncatedSpace.positions)."""
     monomials = tuple(monomials_up_to(nvars, bound))
     exponents = np.array(monomials, dtype=np.int64).reshape(-1, nvars)
     exponents.flags.writeable = False
     ascending = sorted(range(len(monomials)),
                        key=lambda i: GREVLEX.key(monomials[i]))
+    counts = np.array([[math.comb(r + nvars - j - 1, nvars - j)
+                        for j in range(nvars)] for r in range(bound + 2)],
+                      dtype=np.int64).reshape(bound + 2, nvars)
     return (monomials, {m: i for i, m in enumerate(monomials)}, exponents,
-            np.array(ascending, dtype=np.int64))
+            np.array(ascending, dtype=np.int64), counts)
 
 
 class TruncatedSpace:
     __slots__ = ("ring", "degree_bound", "monomials", "index", "exponents",
-                 "ascending")
+                 "ascending", "counts")
 
     def __init__(self, ring, degree_bound):
         if ring.field.characteristic == 0:
@@ -93,8 +101,8 @@ class TruncatedSpace:
                 f"of {MAX_SPACE_DIMENSION}")
         self.ring = ring
         self.degree_bound = degree_bound
-        (self.monomials, self.index, self.exponents,
-         self.ascending) = _monomial_table(ring.nvars, degree_bound)
+        (self.monomials, self.index, self.exponents, self.ascending,
+         self.counts) = _monomial_table(ring.nvars, degree_bound)
 
     @property
     def dimension(self):
@@ -113,11 +121,35 @@ class TruncatedSpace:
         return Polynomial(self.ring, {self.monomials[i]: int(v[i]) % p
                                       for i in np.flatnonzero(v)})
 
+    def positions(self, suffixes):
+        """Indices of the monomials with suffix sums s_j = e_j + ... +
+        e_(n-1), which the iterable yields one array at a time for j = 0,
+        1, ..., n - 1.
+
+        monomials_up_to lists the counts[d + 1, 0] monomials of degree
+        <= d = s_0 up to x_0^d.  The monomials of degree d after one with
+        exponents e are those that first differ from it by a larger
+        e_(j-1), for some j >= 1: they leave degree < s_j to the last
+        n - j variables, so there are counts[s_j, j] of them.
+        """
+        suffixes = iter(suffixes)
+        counts = self.counts
+        index = counts[next(suffixes) + 1, 0] - 1
+        for j, suffix in enumerate(suffixes, 1):
+            index -= counts[suffix, j]
+        return index
+
     def divisible(self, leads):
         """Boolean (monomial, lead) matrix: which leads divide which
         monomials of the space."""
         leads = np.array(leads, dtype=np.int64).reshape(-1, self.ring.nvars)
-        return (self.exponents[:, None, :] >= leads[None, :, :]).all(axis=2)
+        # One comparison per variable: numpy reduces a short last axis
+        # (all(axis=2) over a monomial x lead x variable array) slowly.
+        exponents = self.exponents
+        out = exponents[:, 0, None] >= leads[:, 0]
+        for j in range(1, self.ring.nvars):
+            out &= exponents[:, j, None] >= leads[:, j]
+        return out
 
 
 def _matmul_mod(A, B, p):
@@ -198,7 +230,7 @@ class Subspace:
         S = cls.__new__(cls)
         S.space = space
         S.matrix = matrix
-        S.pivots = [int(c) for c in pivots]
+        S.pivots = np.asarray(pivots, dtype=np.int64).tolist()
         return S
 
     @classmethod
@@ -232,30 +264,66 @@ def _normal_form_matrix(gb, space):
     """(N, reducible) for the grevlex basis gb of a non-monomial ideal:
     row i of N is the normal form of the i-th monomial of the space, over
     the columns of the standard monomials (those not `reducible`, a
-    mask over the space).  Filled by the recurrence in the module
-    docstring; grevlex never raises total degree, so every row stays in
-    the space.
+    mask over the space).  Filled in the waves of the module docstring;
+    grevlex never raises total degree, so every row stays in the space.
+
+    Row `dim` of the work matrix stays zero: the padded tail positions
+    of a shorter reducer point there with coefficient 0.  Each wave and
+    tail position adds a product of two residues below p < 2**31 to a
+    residue, so every entry stays below 2**63.
     """
     p = space.ring.field.characteristic
+    dim, n = space.exponents.shape
     divisible = space.divisible(gb.leads)
     reducible = divisible.any(axis=1)
     standard = np.flatnonzero(~reducible)
-    N = np.zeros((space.dimension, len(standard)), dtype=np.int64)
+    N = np.zeros((dim + 1, len(standard)), dtype=np.int64)
     N[standard, np.arange(len(standard))] = 1
-    # The non-lead terms of each element, with negated coefficients.
-    tails = [([v for v in g.terms if v != lm],
-              np.array([-c % p for v, c in g.terms.items() if v != lm],
-                       dtype=np.int64))
-             for lm, g in zip(gb.leads, gb.elements)]
-    first = divisible.argmax(axis=1).tolist()
-    index, monomials = space.index, space.monomials
-    for i in space.ascending[reducible[space.ascending]].tolist():
-        g = first[i]
-        t = tuple(map(sub, monomials[i], gb.leads[g]))
-        vs, cs = tails[g]
-        N[i] = _matmul_mod(cs, N[[index[tuple(map(add, v, t))]
-                                  for v in vs]], p)
-    return N, reducible
+    rows = space.ascending[reducible[space.ascending]]
+    first = divisible[rows].argmax(axis=1)
+    # The non-lead terms of each reducer in use (a lead dividing some
+    # monomial of the space is one): exponents of v - lm and negated
+    # coefficients, padded with zero coefficients to the longest tail.
+    used = divisible.any(axis=0)
+    tails = [[(tuple(map(sub, v, lm)), -c % p)
+              for v, c in g.terms.items() if v != lm] if u else []
+             for u, lm, g in zip(used, gb.leads, gb.elements)]
+    width = max(map(len, tails), default=0)
+    shift = np.zeros((len(tails), width, n), dtype=np.int64)
+    coef = np.zeros((len(tails), width), dtype=np.int64)
+    for g, tail in enumerate(tails):
+        for k, (t, c) in enumerate(tail):
+            shift[g, k] = t
+            coef[g, k] = c
+    # deps[r, k] is the row of t * v_k = m - lm + v_k for the r-th
+    # reducible m, found from suffix sums, which are additive.
+    shift = np.cumsum(shift[:, :, ::-1], axis=2)[:, :, ::-1]
+    suffix = np.cumsum(space.exponents[rows, ::-1], axis=1)[:, ::-1]
+    deps = space.positions(suffix[:, j, None] + shift[first, :, j]
+                           for j in range(n))
+    coef = coef[first]
+    deps[coef == 0] = dim
+    # Levels in ascending grevlex order, where every row t * v of a
+    # reducible row comes before it; waves[l] lists the rows of level
+    # l + 1, by position in `rows`.
+    level = [0] * (dim + 1)
+    get = level.__getitem__
+    waves = []
+    for r, (i, ds) in enumerate(zip(rows.tolist(), deps.tolist())):
+        lv = max(map(get, ds), default=0)
+        level[i] = lv + 1
+        if lv == len(waves):
+            waves.append([])
+        waves[lv].append(r)
+    order = np.array([r for wave in waves for r in wave], dtype=np.int64)
+    rows, deps, coef = rows[order], deps[order].T, coef[order].T
+    for start, stop in itertools.pairwise(itertools.accumulate(
+            map(len, waves), initial=0)):
+        acc = 0
+        for ds, cs in zip(deps[:, start:stop], coef[:, start:stop]):
+            acc = (acc + cs[:, None] * N[ds]) % p
+        N[rows[start:stop]] = acc
+    return N[:dim], reducible
 
 
 def _monomial_basis(I, space):
@@ -285,14 +353,19 @@ def _block_kernels(space, N, blocks):
 
 def _homogeneous_blocks(graded, space):
     """Index arrays of the monomials of each degree, from one product
-    with the grading's weight vectors."""
+    with the grading's weight vectors: increasing indices, the blocks in
+    lexicographic order of their degrees.  A grading without weights
+    makes the whole space one block."""
     weights = np.array(graded.weights, dtype=np.int64)
+    if not weights.size:
+        return [np.arange(space.dimension)]
     dots = space.exponents @ weights.reshape(-1, space.ring.nvars).T
     r = graded.group.free_rank
     dots[:, r:] %= np.array(graded.group.torsion, dtype=np.int64)
-    block = np.unique(dots, axis=0, return_inverse=True)[1].ravel()
-    order = np.argsort(block, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
+    order = np.lexsort(dots.T[::-1])
+    dots = dots[order]
+    return np.split(order, np.flatnonzero(
+        (dots[1:] != dots[:-1]).any(axis=1)) + 1)
 
 
 def truncated_star_basis(I, graded, degree_bound):

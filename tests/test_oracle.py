@@ -1,6 +1,8 @@
 """Truncated-space oracle: linear-algebra verification of star outputs."""
 
 import math
+import tracemalloc
+from operator import add, sub
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import grady.oracle as oracle
-from grady.grading import GradedRing, GradingGroup, star
-from grady.groebner import Ideal
+from grady.grading import (GradedRing, GradingGroup, homogeneous_components,
+                           star)
+from grady.groebner import GREVLEX, Ideal
 from grady.oracle import (BadPrimeError, OracleVerdict, ResourceLimitError,
-                          Subspace, TruncatedSpace, _first_escape, _kernel,
-                          _matmul_mod, _normal_form_matrix, _rref,
+                          Subspace, TruncatedSpace, _first_escape,
+                          _homogeneous_blocks, _kernel, _matmul_mod,
+                          _normal_form_matrix, _rref,
                           monomials_up_to, oracle_compare, reduce_ideal_mod,
                           truncated_star_basis)
 from grady.poly import GF, QQ, Polynomial, PolynomialRing, parse_polynomial
@@ -315,6 +319,38 @@ def _normal_form_rows_reference(gb, space):
     return N
 
 
+def _normal_form_matrix_reference(gb, space):
+    """The recurrence filled one row at a time in ascending grevlex
+    order, each row one product of its reducer's negated tail
+    coefficients with the rows of t * v."""
+    p = space.ring.field.characteristic
+    divisible = space.divisible(gb.leads)
+    reducible = divisible.any(axis=1)
+    standard = np.flatnonzero(~reducible)
+    N = np.zeros((space.dimension, len(standard)), dtype=np.int64)
+    N[standard, np.arange(len(standard))] = 1
+    for i in space.ascending[reducible[space.ascending]].tolist():
+        g = int(divisible[i].argmax())
+        lm, terms = gb.leads[g], gb.elements[g].terms
+        t = tuple(map(sub, space.monomials[i], lm))
+        tail = [v for v in terms if v != lm]
+        cs = np.array([-terms[v] % p for v in tail], dtype=np.int64)
+        N[i] = _matmul_mod(cs, N[[space.index[tuple(map(add, v, t))]
+                                  for v in tail]], p)
+    return N, reducible
+
+
+def _homogeneous_blocks_reference(graded, space):
+    """Blocks grouped by np.unique over the rows of degrees."""
+    weights = np.array(graded.weights, dtype=np.int64)
+    dots = space.exponents @ weights.reshape(-1, space.ring.nvars).T
+    r = graded.group.free_rank
+    dots[:, r:] %= np.array(graded.group.torsion, dtype=np.int64)
+    block = np.unique(dots, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(block, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
+
+
 def _star_basis_reference(I, graded, bound):
     """Per-monomial normal forms, per-block nullspaces, one final RREF."""
     space = TruncatedSpace(I.ring, bound)
@@ -345,8 +381,11 @@ def _oracle_reference(I, graded, bound, S):
             return OracleVerdict(
                 "fail", "truncated star vector escapes the computed star",
                 str(b))
+    # deg g <= bound, so g lies in the truncated star exactly when each
+    # homogeneous component of g lies in I.
     for g in gens:
-        if not B.contains(g):
+        if not all(map(I.contains,
+                       homogeneous_components(g, graded).values())):
             return OracleVerdict(
                 "fail", "computed star generator missing from the "
                 "truncated star space", str(g))
@@ -429,6 +468,65 @@ def test_normal_form_matrix_matches_per_monomial_reduction(case):
     assert standard.tolist() == [
         i for i, m in enumerate(space.monomials)
         if not any(all(a >= b for a, b in zip(m, lm)) for lm in gb.leads)]
+
+
+@pytest.mark.parametrize("nvars, bound", [(1, 0), (1, 9), (2, 7), (3, 6),
+                                          (4, 3), (6, 2), (30, 1)])
+def test_positions_index_the_space(nvars, bound):
+    ring = PolynomialRing(GF(5), tuple(f"x{i}" for i in range(nvars)))
+    space = TruncatedSpace(ring, bound)
+    suffix = np.cumsum(space.exponents[:, ::-1], axis=1)[:, ::-1]
+    assert space.positions(suffix[:, j] for j in range(nvars)).tolist() \
+        == list(range(space.dimension))
+
+
+def test_wave_fill_matches_the_row_fill_at_the_budget_edge():
+    # 3,654 monomials, tails of 3 and 4 terms, the largest field
+    ring = PolynomialRing(GF(2147483647), ("x", "y", "z"))
+    space = TruncatedSpace(ring, 26)
+    assert space.dimension == 3654
+    gb = Ideal(ring, ["x^3 + 2*x*y*z - 5*y^2 + 3*z - 1",
+                      "y^3 - 2*x*z + x - 1"]).groebner(GREVLEX)
+    tracemalloc.start()
+    try:
+        N, reducible = _normal_form_matrix(gb, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reference, expected = _normal_form_matrix_reference(gb, space)
+    assert np.array_equal(reducible, expected)
+    assert N.shape == reference.shape and np.array_equal(N, reference)
+    # N itself plus one wave's work at a time: no rows x tail x columns
+    # gather, which would take about four times N here.
+    assert peak < 2 * N.nbytes
+
+
+def test_lexsort_blocks_match_the_unique_grouping():
+    ring = PolynomialRing(GF(5), ("x", "y", "z"))
+    space = TruncatedSpace(ring, 5)
+    for graded in (
+            ungraded(ring),
+            GradedRing(ring, GradingGroup(0, (3,)), [((), (1,))] * 3),
+            GradedRing(ring, GradingGroup(1, (2,)),
+                       [((1,), (1,)), ((-1,), (0,)), ((0,), (1,))]),
+            GradedRing(ring, GradingGroup(2, ()),
+                       [((1, 0), ()), ((0, 1), ()), ((-1, 1), ())])):
+        blocks = _homogeneous_blocks(graded, space)
+        reference = _homogeneous_blocks_reference(graded, space)
+        assert [b.tolist() for b in blocks] == \
+            [b.tolist() for b in reference]
+    assert [b.tolist() for b in _homogeneous_blocks(ungraded(ring),
+                                                    space)] == \
+        [list(range(space.dimension))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_cases())
+def test_lexsort_blocks_match_the_unique_grouping_on_random_gradings(case):
+    I, graded, bound, _ = case
+    space = TruncatedSpace(I.ring, bound)
+    assert [b.tolist() for b in _homogeneous_blocks(graded, space)] == \
+        [b.tolist() for b in _homogeneous_blocks_reference(graded, space)]
 
 
 @settings(max_examples=60, deadline=None)
