@@ -8,6 +8,15 @@ keyed, and retires the elements whose leads it divides.  Division is
 heap-based (Monagan and Pearce 2007): each monomial's order key is
 computed once, when it first enters the working polynomial.
 
+Coefficients: over F_p a basis entry is monic.  Over Q it is a primitive
+integer term dict (denominators cleared, content divided out, lead
+positive), so the kernel does no Fraction arithmetic: a reducer with a
+lead coefficient other than one pseudo-divides, and an S-polynomial
+crosses the two leads over their gcd.  An entry differs from the monic
+one by a scalar, so the leads, pairs and sugar of a run are those of a
+monic run; _reduce_basis divides by the lead coefficient only when it
+publishes an element.
+
 Determinism contract: S-pairs are processed in a fixed order (sugar, lcm
 under the working order, then generator indices), bases are reduced and
 monic, and every published generator list is sorted, so identical inputs
@@ -20,19 +29,26 @@ Monomial ideals stay exponent tuples, their minimal generators ascending
 in grevlex, while the kernel at the end of this module works on them;
 decomposition and gtheory fold and compare such tuples too, and publish
 an Ideal (_monomial_ideal) only for a result they return.  eliminate
-publishes the slice of its reduced elimination basis free of the
-eliminated variables, with the elimination leads: the block order is
-grevlex there and the whole basis is reduced, so the slice is the
-reduced grevlex basis of the elimination ideal, ascending, with the same
-leads; _eliminated carries it to the small ring for intersect, saturation
-and star, whose auxiliaries _extension appends, cutting the leads to the
-small ring's variables.
+keeps the Buchberger entries whose leads avoid the eliminated variables
+and minimalizes and interreduces only those: under the block order such
+an entry is free of them, the leads that divide its terms are free of
+them too, so the dropped entries never reduce a kept one, and the result
+is the slice of the reduced elimination basis free of the eliminated
+variables.  The block order is grevlex there, so the slice is the reduced
+grevlex basis of the elimination ideal, ascending, with the same leads;
+_eliminated carries it to the small ring for intersect, saturation and
+star, whose auxiliaries _extension appends, cutting the leads to the
+small ring's variables.  A colon by a monomial x^a publishes the reduced
+basis of I ∩ (x^a) divided by x^a.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import math
+from fractions import Fraction
+from itertools import chain, islice
 from operator import add, itemgetter, le, sub
 
 from .poly import (GREVLEX, Polynomial, ResourceLimitError, TermOrder,
@@ -101,13 +117,19 @@ class GroebnerBasis:
 
 
 def _reduce_full(work, reducers, order, field):
-    """Fully reduce a term dict (consumed) against monic reducers; returns
-    the remainder dict, its terms inserted in descending order.  First
-    reducer in list order whose lead divides wins.
+    """Fully reduce a term dict (consumed) against reducers, basis entries
+    as _entry makes them; returns the remainder dict, its terms inserted
+    in descending order.  First reducer in list order whose lead divides
+    wins.
 
     A heap of (desc_key, monomial) beside work yields the terms largest
-    first; a cancelled term stays in work with coefficient zero, so each
-    monomial is keyed and pushed once and popped zeros are skipped.
+    first; each is popped from work when taken, and every later term is
+    smaller, so it never returns.  A cancelled term stays in work with
+    coefficient zero until the heap reaches it, so each monomial is keyed
+    and pushed once.  A reducer whose lead coefficient a is not one
+    pseudo-divides: a and the work term's coefficient c go over their gcd,
+    then the work and the remainder are scaled by a before c times the
+    shifted reducer is taken off.
     """
     p = field.characteristic
     dkey = order.desc_key
@@ -117,7 +139,7 @@ def _reduce_full(work, reducers, order, field):
     remainder = {}
     while heap:
         m = pop(heap)[1]
-        c = work[m]
+        c = work.pop(m)
         if not c:
             continue
         for lm, gterms in reducers:
@@ -126,6 +148,12 @@ def _reduce_full(work, reducers, order, field):
         else:
             remainder[m] = c
             continue
+        a = gterms[lm]
+        if a != 1:
+            d = math.gcd(a, c)
+            a, c = a // d, c // d
+            work = {k: v * a for k, v in work.items()}
+            remainder = {k: v * a for k, v in remainder.items()}
         shift = tuple(map(sub, m, lm))
         for gm, gc in gterms.items():
             if gm == lm:
@@ -141,16 +169,51 @@ def _reduce_full(work, reducers, order, field):
 
 
 def _spoly_terms(lcm, lm_f, f_terms, lm_g, g_terms, field):
-    """S-polynomial term dict for monic f, g whose leads have this lcm."""
+    """S-polynomial term dict of basis entries f, g whose leads have this
+    lcm: each tail shifted once and the leads, which cancel, left out.
+    The lead coefficients cross over their gcd, so monic entries give
+    exactly the S-polynomial."""
+    p = field.characteristic
+    a, b = f_terms[lm_f], g_terms[lm_g]
+    if a == b:
+        a = b = 1
+    else:
+        d = math.gcd(a, b)
+        a, b = b // d, a // d
     sf = tuple(map(sub, lcm, lm_f))
+    out = {tuple(map(add, m, sf)): a * c
+           for m, c in f_terms.items() if m != lm_f}
     sg = tuple(map(sub, lcm, lm_g))
-    return _add_terms({mono_mul(m, sf): c for m, c in f_terms.items()},
-                      {mono_mul(m, sg): c for m, c in g_terms.items()},
-                      field.characteristic, sub)
+    for m, c in g_terms.items():
+        if m != lm_g:
+            mm = tuple(map(add, m, sg))
+            s = out.get(mm, 0) - b * c
+            if p:
+                s %= p
+            if s:
+                out[mm] = s
+            else:
+                del out[mm]
+    return out
 
 
 def buchberger(generators, order):
-    """Reduced monic Groebner basis of the generated ideal.
+    """Reduced monic Groebner basis of the generated ideal."""
+    ring = generators[0].ring
+    seed = [g for g in generators if not g.is_zero]
+    if seed and all(g.is_monomial for g in seed):
+        gens = sorted(_monomial_min_gens([next(iter(g.terms)) for g in seed]),
+                      key=order.key)
+        return GroebnerBasis(ring, order, [ring.monomial(m) for m in gens],
+                             gens)
+    leads, elements = _reduce_basis(_buchberger(seed, order), order, ring)
+    return GroebnerBasis(ring, order, elements, leads)
+
+
+def _buchberger(seed, order):
+    """The live entries of a Groebner basis of the nonzero polynomials
+    seed: a list of (lead, terms) as _entry makes them, neither minimal
+    nor reduced; _reduce_basis publishes them.
 
     The generators enter one at a time, ascending by lead, and so does
     each nonzero S-polynomial remainder; every entry runs the
@@ -166,26 +229,18 @@ def buchberger(generators, order):
     the polynomial would have over the homogenized input, so lex and
     elimination runs no longer chase pairs of high degree first.
     """
-    ring = generators[0].ring
-    field = ring.field
-    seed = [g for g in generators if not g.is_zero]
     if not seed:
-        return GroebnerBasis(ring, order, (), ())
-
-    if all(g.is_monomial for g in seed):
-        gens = sorted(_monomial_min_gens([next(iter(g.terms)) for g in seed]),
-                      key=order.key)
-        return GroebnerBasis(ring, order, [ring.monomial(m) for m in gens],
-                             gens)
-
+        return []
+    field = seed[0].ring.field
+    p = field.characteristic
     key = order.key
 
-    basis = []          # (lm, monic terms); retired entries still reduce
+    basis = []          # (lm, terms); retired entries still reduce
     sugar = []          # the sugar of each basis entry
     live = []           # indices of the entries that take new pairs
     pairs = {}          # (i, j) -> lcm of every queued pair
     heap = []
-    entries = [(_monic(g.leading_monomial(order), g.terms, field),
+    entries = [(_entry(g.leading_monomial(order), g.terms, p),
                 g.total_degree()) for g in seed]
     for entry, s in sorted(entries, key=lambda e: key(e[0][0])):
         _update(basis, sugar, live, pairs, heap, entry, s, key)
@@ -199,18 +254,28 @@ def buchberger(generators, order):
         rem = _reduce_full(spoly, basis, order, field)
         if rem:     # the remainder's first term is its lead
             _update(basis, sugar, live, pairs, heap,
-                    _monic(next(iter(rem)), rem, field), s, key)
-
-    leads, elements = _reduce_basis([basis[i] for i in live], order, ring)
-    return GroebnerBasis(ring, order, elements, leads)
+                    _entry(next(iter(rem)), rem, p), s, key)
+    return [basis[i] for i in live]
 
 
-def _monic(lm, terms, field):
-    """(lm, terms) scaled so the coefficient at lm becomes one."""
+def _entry(lm, terms, p):
+    """Basis entry (lm, terms) for a nonzero term dict with lead lm: over
+    F_p monic, over Q coprime integers with a positive lead (denominators
+    cleared, then the content divided out)."""
     c = terms[lm]
-    if c == field.one:
-        return (lm, terms)
-    return (lm, _scale_terms(terms, field.inv(c), field.characteristic))
+    if p:
+        if c == 1:
+            return (lm, terms)
+        inv = pow(c, -1, p)
+        return (lm, {m: x * inv % p for m, x in terms.items()})
+    den = math.lcm(*(x.denominator for x in terms.values()))
+    ints = {m: x.numerator * (den // x.denominator) for m, x in terms.items()}
+    d = math.gcd(*ints.values())
+    if ints[lm] < 0:
+        d = -d
+    if d != 1:
+        ints = {m: x // d for m, x in ints.items()}
+    return (lm, ints)
 
 
 def _update(basis, sugar, live, pairs, heap, entry, s_h, key):
@@ -234,8 +299,8 @@ def _update(basis, sugar, live, pairs, heap, entry, s_h, key):
             not any(map(min, basis[i][0], lm_h))) for i in live]
     kept = []
     for n, (i, lcm, coprime) in enumerate(new):
-        if coprime or not any(all(map(le, other[1], lcm))
-                              for other in new[n + 1:] + kept):
+        if coprime or not any(all(map(le, other[1], lcm)) for other in
+                              chain(islice(new, n + 1, None), kept)):
             kept.append((i, lcm, coprime))
 
     for (i, j), lcm in list(pairs.items()):
@@ -254,8 +319,8 @@ def _update(basis, sugar, live, pairs, heap, entry, s_h, key):
 
 
 def _reduce_basis(entries, order, ring):
-    """Minimalize then interreduce; returns (leads, polynomials), both
-    ascending by lead."""
+    """Minimalize then interreduce basis entries; returns (leads,
+    polynomials), both ascending by lead, the polynomials monic."""
     key = order.key
     kept = []
     for lm, terms in sorted(entries, key=lambda e: key(e[0])):
@@ -271,6 +336,9 @@ def _reduce_basis(entries, order, ring):
         # never larger than its multiple), so the earlier leads alone
         # give the same remainder.
         reduced = _reduce_full(dict(terms), kept[:idx], order, field)
+        if not field.characteristic:
+            c = reduced[lm]
+            reduced = {m: Fraction(x, c) for m, x in reduced.items()}
         final.append(Polynomial(ring, reduced, _clean=True))
     return leads, final
 
@@ -443,10 +511,10 @@ def eliminate(ideal, variables):
     if not indices:
         return Ideal(ring, ideal.generators)
     order = TermOrder.elimination(indices)
-    gb = ideal.groebner(order)
-    kept = [(lm, g) for lm, g in zip(gb.leads, gb.elements)
-            if not any(m[i] for m in g.terms for i in indices)]
-    return _published(ring, [g for _, g in kept], [lm for lm, _ in kept])
+    leads, elements = _reduce_basis(
+        [e for e in _buchberger(ideal.generators, order)
+         if not any(e[0][i] for i in indices)], order, ring)
+    return _published(ring, elements, leads)
 
 
 def intersect(I, J):
@@ -535,6 +603,16 @@ def _colon_poly(I, g):
         return _monomial_ideal(ring, _monomial_colon(
             I.monomial_generators(), next(iter(g.terms))))
     meet = intersect(I, Ideal(ring, [g]))
+    if g.is_monomial:
+        # Every element of I ∩ (x^a) is a multiple of x^a, and dividing a
+        # reduced monic basis by x^a keeps it reduced, monic and ascending.
+        a = next(iter(g.terms))
+        gb = meet.groebner(GREVLEX)
+        quotients = [Polynomial(ring, {tuple(map(sub, m, a)): c
+                                       for m, c in h.terms.items()},
+                                _clean=True) for h in gb]
+        return _published(ring, quotients,
+                          [tuple(map(sub, lm, a)) for lm in gb.leads])
     return Ideal(ring, [exact_quotient(h, g) for h in meet.generators])
 
 

@@ -1,6 +1,7 @@
 """Groebner bases and the ideal operations built on them."""
 
 import heapq
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -290,6 +291,15 @@ def _naive_reduced_basis(gens, order):
             for k, (_, g) in enumerate(minimal)]
 
 
+def _coefficients(field):
+    """Small field elements; over Q with denominators, and negative and
+    non-unit leads, which the integer kernel clears, divides out and
+    crosses."""
+    if field.characteristic:
+        return st.integers(-3, 3).map(field.from_int)
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
 @st.composite
 def _reference_cases(draw):
     n = draw(st.integers(2, 4))
@@ -300,10 +310,9 @@ def _reference_cases(draw):
         TermOrder.elimination({n - 1}), TermOrder.elimination({n // 2})]))
     # squarefree monomials in 4 variables keep the naive reference quick
     mono = st.tuples(*[st.integers(0, 2 if n < 4 else 1)] * n)
-    poly = st.lists(st.tuples(mono, st.integers(-3, 3)), min_size=1,
+    poly = st.lists(st.tuples(mono, _coefficients(field)), min_size=1,
                     max_size=3).map(lambda ts: sum(
-                        (ring.monomial(m, field.from_int(c)) for m, c in ts),
-                        ring.zero()))
+                        (ring.monomial(m, c) for m, c in ts), ring.zero()))
     gens = draw(st.lists(poly, min_size=1, max_size=3))
     return gens, order, draw(poly)
 
@@ -325,6 +334,45 @@ def test_buchberger_matches_naive_reference(case):
     expected = [_monic(g, order) for g in _naive_reduced_basis(gens, order)]
     assert list(zip(gb.leads, gb.elements)) == expected
     assert gb.normal_form(f) == _naive_remainder(f, expected, order)
+
+
+@st.composite
+def _elimination_cases(draw):
+    n = draw(st.integers(2, 4))
+    field = draw(st.sampled_from([GF(5), GF(32003), QQ]))
+    ring = PolynomialRing(field, tuple(f"x{i}" for i in range(n)))
+    eliminated = draw(st.sets(st.integers(0, n - 1), min_size=1,
+                              max_size=n - 1))
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    poly = st.lists(st.tuples(mono, _coefficients(field)), min_size=1,
+                    max_size=3).map(lambda ts: sum(
+                        (ring.monomial(m, c) for m, c in ts), ring.zero()))
+    return draw(st.lists(poly, min_size=1, max_size=3)), eliminated
+
+
+_Q3 = PolynomialRing(QQ, ("x0", "x1", "x2"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elimination_cases())
+@example(([parse_polynomial(g, _Q3) for g in ("3/2*x0*x1 - x2",
+                                              "-2*x0^2 + 5/3*x1")], {0}))
+def test_eliminate_is_the_free_slice_of_the_elimination_basis(case):
+    """eliminate interreduces only the entries whose leads avoid the
+    eliminated variables; the result is the slice of the whole reduced
+    elimination basis free of them, leads included."""
+    gens, eliminated = case
+    ring = gens[0].ring
+    published = eliminate(Ideal(ring, gens), eliminated).groebner(GREVLEX)
+    if all(g.is_zero for g in gens):
+        assert not published.elements
+        return
+    gb = buchberger(gens, TermOrder.elimination(eliminated))
+    expected = [(lm, g) for lm, g in zip(gb.leads, gb.elements)
+                if not any(lm[i] for i in eliminated)]
+    assert list(zip(published.leads, published.elements)) == expected
+    assert not any(m[i] for _, g in expected for m in g.terms
+                   for i in eliminated)
 
 
 def test_katsura3_lex_prunes_pairs(monkeypatch):

@@ -57,20 +57,22 @@ def _cases(draw):
     kind = draw(st.sampled_from([monomial, binomial]))
     I, J, K = (draw(ideal(k)) for k in (kind, kind, monomial))
     f = draw(kind())
+    # a monomial with a coefficient, whatever kind I is
+    g = draw(st.tuples(mono, coeff).map(lambda t: ring.monomial(*t)))
     free = draw(st.integers(0, 1))
     torsion = draw(st.sampled_from([(), (2,), (3,)]))
     degrees = [(draw(st.tuples(*[st.integers(-1, 2)] * free)),
                 draw(st.tuples(*[st.integers(0, 2)] * len(torsion))))
                for _ in range(n)]
     graded = GradedRing(ring, GradingGroup(free, torsion), degrees)
-    return I, J, K, f, graded
+    return I, J, K, f, g, graded
 
 
 @seed(20091)
 @settings(max_examples=60, deadline=None)
 @given(_cases())
 def test_published_bases_match_buchberger(case):
-    I, J, K, f, graded = case
+    I, J, K, f, g, graded = case
     S = star(I, graded)
     # a star's generators are exactly its reduced basis, which is
     # homogeneous; an ideal that holds such a basis is its own star
@@ -84,6 +86,7 @@ def test_published_bases_match_buchberger(case):
         results.append(colon(I, J))
     if not f.is_zero:
         results += [colon(I, f), saturate(I, f)[0]]
+    results.append(colon(I, g))
     if I.is_monomial:
         results.append(monomial_radical(I))
         if not I.is_unit and not I.is_zero:
