@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .groebner import _eliminated, _extension, _published
+from .groebner import _eliminated, _published
 from .poly import GREVLEX, Polynomial, ResourceLimitError
 
 # star eliminates over s^m - 1 for each used torsion modulus m, in time
@@ -194,23 +194,21 @@ def star(I, graded):
                 f"star would eliminate over the relation s^{moduli[k]} - 1, "
                 f"over the torsion modulus budget of {MAX_TORSION_MODULUS}")
 
-    # Auxiliaries after the ring's variables: the u_j, the s_k, then z.
+    # Auxiliary exponents after the ring's variables: u_j, s_k, then z.
     n, nu, ns = ring.nvars, len(free_used), len(tors_used)
-    nz = 1 if free_used else 0
-    big, _ = _extension(ring, nu + ns + nz)
-    pad = (0,) * nz
-    lifted = []
+    pad = (0,) * bool(free_used)
+    gens = []
     for g in gb.by_lead_descending():
         degrees = {m: graded.degree_of_monomial(m) for m in g.terms}
         top = [max(d.free[j] for d in degrees.values()) for j in free_used]
-        lifted.append(Polynomial(big, {
+        gens.append({
             m + tuple(t - d.free[j] for t, j in zip(top, free_used))
             + tuple(d.torsion[k] for k in tors_used) + pad: g.terms[m]
-            for m, d in degrees.items()}, _clean=True))
-    one = big.one()
-    relations = [big.gen(n + nu + at) ** moduli[k] - one
-                 for at, k in enumerate(tors_used)]
+            for m, d in degrees.items()})
+    one, minus_one = (0,) * (n + nu + ns + len(pad)), ring.field.from_int(-1)
+    gens += [{one[:i] + (moduli[k],) + one[i + 1:]: 1, one: minus_one}
+             for i, k in enumerate(tors_used, n + nu)]
     if free_used:
-        relations.append(
-            one - big.monomial((0,) * n + (1,) * nu + (0,) * ns + (1,)))
-    return _eliminated(big, lifted + relations, ring)
+        gens.append({one: 1, (0,) * n + (1,) * nu + (0,) * ns + (1,):
+                     minus_one})
+    return _eliminated(ring, gens)

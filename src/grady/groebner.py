@@ -28,18 +28,19 @@ so Buchberger never rebuilds it and nothing is scanned or sorted.
 Monomial ideals stay exponent tuples, their minimal generators ascending
 in grevlex, while the kernel at the end of this module works on them;
 decomposition and gtheory fold and compare such tuples too, and publish
-an Ideal (_monomial_ideal) only for a result they return.  eliminate
+an Ideal (_monomial_ideal) only for a result they return.  Elimination
 keeps the Buchberger entries whose leads avoid the eliminated variables
 and minimalizes and interreduces only those: under the block order such
 an entry is free of them, the leads that divide its terms are free of
 them too, so the dropped entries never reduce a kept one, and the result
 is the slice of the reduced elimination basis free of the eliminated
 variables.  The block order is grevlex there, so the slice is the reduced
-grevlex basis of the elimination ideal, ascending, with the same leads;
-_eliminated carries it to the small ring for intersect, saturation and
-star, whose auxiliaries _extension appends, cutting the leads to the
-small ring's variables.  A colon by a monomial x^a publishes the reduced
-basis of I ∩ (x^a) divided by x^a.
+grevlex basis of the elimination ideal, ascending, with the same leads.
+The kernel takes term dicts, so the auxiliaries of intersect,
+saturation, radical membership and star are trailing exponent positions,
+never a ring: _eliminated cuts the kept entries to the ring's variables.
+A colon by a monomial x^a publishes the reduced basis of I ∩ (x^a)
+divided by x^a.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from itertools import chain, islice
 from operator import add, itemgetter, le, sub
 
 from .poly import (GREVLEX, Polynomial, ResourceLimitError, TermOrder,
-                   _add_terms, _scale_terms, fresh_names, mono_div,
-                   mono_divides, mono_lcm, mono_mul)
+                   _add_terms, _scale_terms, mono_div, mono_divides,
+                   mono_lcm, mono_mul)
 
 
 class GroebnerBasis:
@@ -78,8 +79,7 @@ class GroebnerBasis:
         return self._monomial
 
     def normal_form(self, f):
-        if f.ring != self.ring:
-            raise ValueError("polynomial from a different ring")
+        _check_ring(self.ring, f)
         reducers = [(lm, g.terms) for lm, g in zip(self.leads, self.elements)]
         terms = _reduce_full(dict(f.terms), reducers, self.order,
                              self.ring.field)
@@ -200,20 +200,21 @@ def _spoly_terms(lcm, lm_f, f_terms, lm_g, g_terms, field):
 def buchberger(generators, order):
     """Reduced monic Groebner basis of the generated ideal."""
     ring = generators[0].ring
-    seed = [g for g in generators if not g.is_zero]
-    if seed and all(g.is_monomial for g in seed):
-        gens = sorted(_monomial_min_gens([next(iter(g.terms)) for g in seed]),
+    seed = [g.terms for g in generators if g.terms]
+    if seed and all(len(terms) == 1 for terms in seed):
+        gens = sorted(_monomial_min_gens([next(iter(t)) for t in seed]),
                       key=order.key)
         return GroebnerBasis(ring, order, [ring.monomial(m) for m in gens],
                              gens)
-    leads, elements = _reduce_basis(_buchberger(seed, order), order, ring)
+    leads, elements = _reduce_basis(_buchberger(seed, order, ring.field),
+                                    order, ring)
     return GroebnerBasis(ring, order, elements, leads)
 
 
-def _buchberger(seed, order):
-    """The live entries of a Groebner basis of the nonzero polynomials
-    seed: a list of (lead, terms) as _entry makes them, neither minimal
-    nor reduced; _reduce_basis publishes them.
+def _buchberger(seed, order, field):
+    """The live entries of a Groebner basis of seed, nonzero term dicts
+    over field: a list of (lead, terms) as _entry makes them, neither
+    minimal nor reduced; _reduce_basis publishes them.
 
     The generators enter one at a time, ascending by lead, and so does
     each nonzero S-polynomial remainder; every entry runs the
@@ -229,9 +230,6 @@ def _buchberger(seed, order):
     the polynomial would have over the homogenized input, so lex and
     elimination runs no longer chase pairs of high degree first.
     """
-    if not seed:
-        return []
-    field = seed[0].ring.field
     p = field.characteristic
     key = order.key
 
@@ -240,8 +238,8 @@ def _buchberger(seed, order):
     live = []           # indices of the entries that take new pairs
     pairs = {}          # (i, j) -> lcm of every queued pair
     heap = []
-    entries = [(_entry(g.leading_monomial(order), g.terms, p),
-                g.total_degree()) for g in seed]
+    entries = [(_entry(min(terms, key=order.desc_key), terms, p),
+                max(map(sum, terms))) for terms in seed]
     for entry, s in sorted(entries, key=lambda e: key(e[0][0])):
         _update(basis, sugar, live, pairs, heap, entry, s, key)
 
@@ -481,23 +479,34 @@ def ideal_power(I, n):
     return out
 
 
-def _extension(ring, count):
-    """ring with count auxiliary variables appended, and the map lifting a
-    polynomial of ring into it."""
-    big = ring.extend(fresh_names("t", count, ring.variables))
-    pad = (0,) * count
-    return big, lambda f: Polynomial(
-        big, {m + pad: c for m, c in f.terms.items()}, _clean=True)
+def _check_ring(ring, f):
+    if f.ring != ring:
+        raise ValueError("polynomial from a different ring")
 
 
-def _eliminated(big, gens, ring):
-    """The ideal gens generate in big, an _extension of ring, met with
-    ring: big's trailing variables eliminated, published in ring (the
-    variables matched by name) with its basis."""
+def _padded(terms, tail):
+    """terms with the auxiliary exponents tail appended to each monomial."""
+    return {m + tail: c for m, c in terms.items()}
+
+
+def _eliminated(ring, gens):
+    """The ideal generated by gens, nonzero term dicts over ring's field
+    whose monomials extend ring's by trailing auxiliary exponents, met
+    with ring and published there with its basis."""
+    return _slice(ring, gens, range(ring.nvars, len(next(iter(gens[0])))))
+
+
+def _slice(ring, seed, indices):
+    """The ideal the term dicts seed generate, met with the monomials free
+    of the positions indices: the entries of its elimination basis whose
+    leads avoid them, cut to ring's variables and published in ring."""
     n = ring.nvars
-    gb = eliminate(Ideal(big, gens), range(n, big.nvars)).groebner(GREVLEX)
-    return _published(ring, [f.map_to(ring) for f in gb.elements],
-                      [lm[:n] for lm in gb.leads])
+    order = TermOrder.elimination(indices)
+    leads, elements = _reduce_basis(
+        [(lm[:n], {m[:n]: c for m, c in terms.items()})
+         for lm, terms in _buchberger(seed, order, ring.field)
+         if not any(lm[i] for i in indices)], GREVLEX, ring)
+    return _published(ring, elements, leads)
 
 
 def eliminate(ideal, variables):
@@ -510,11 +519,7 @@ def eliminate(ideal, variables):
         for v in variables)
     if not indices:
         return Ideal(ring, ideal.generators)
-    order = TermOrder.elimination(indices)
-    leads, elements = _reduce_basis(
-        [e for e in _buchberger(ideal.generators, order)
-         if not any(e[0][i] for i in indices)], order, ring)
-    return _published(ring, elements, leads)
+    return _slice(ring, [g.terms for g in ideal.generators], indices)
 
 
 def intersect(I, J):
@@ -527,12 +532,12 @@ def intersect(I, J):
         return Ideal(ring)
     if I.is_monomial and J.is_monomial:
         return intersect_all([I, J])
-    big, lift = _extension(ring, 1)
-    t = big.gen(ring.nvars)
-    one = big.one()
-    gens = [t * lift(f) for f in I.groebner(GREVLEX)]
-    gens += [(one - t) * lift(g) for g in J.groebner(GREVLEX)]
-    return _eliminated(big, gens, ring)
+    p = ring.field.characteristic
+    gens = [_padded(f.terms, (1,)) for f in I.groebner(GREVLEX)]
+    gens += [{**_padded(g.terms, (0,)),
+              **_padded(_scale_terms(g.terms, -1, p), (1,))}
+             for g in J.groebner(GREVLEX)]
+    return _eliminated(ring, gens)
 
 
 def intersect_all(ideals, ring=None):
@@ -555,9 +560,10 @@ def intersect_all(ideals, ring=None):
     return out
 
 
-def exact_quotient(f, g, order=GREVLEX):
+def exact_quotient(f, g):
     """f / g for f in (g); raises ArithmeticError when not divisible."""
-    lt = g.leading_term(order)
+    _check_ring(f.ring, g)
+    lt = g.leading_term()
     if lt is None:
         raise ArithmeticError("division by zero polynomial")
     lm_g, lc_g = lt
@@ -566,7 +572,7 @@ def exact_quotient(f, g, order=GREVLEX):
     monic = _scale_terms(g.terms, inv, p)
     work = dict(f.terms)
     quot = {}       # f / monic g
-    dkey = order.desc_key
+    dkey = GREVLEX.desc_key
     while work:
         m = min(work, key=dkey)
         shift = mono_div(m, lm_g)
@@ -582,6 +588,7 @@ def colon(I, J):
     """Ideal quotient I : J; J may be a polynomial or an ideal, but not
     zero."""
     if isinstance(J, Polynomial):
+        _check_ring(I.ring, J)
         if J.is_zero:
             raise ValueError("colon by zero")
         return _colon_poly(I, J)
@@ -621,21 +628,23 @@ MAX_SATURATION_EXPONENT = 1000
 
 
 def _rabinowitsch(polys, f):
-    """The polys and 1 - z*f, lifted to f's ring extended by z."""
-    big, lift = _extension(f.ring, 1)
-    return big, [*map(lift, polys),
-                 big.one() - big.gen(f.ring.nvars) * lift(f)]
+    """The polys and 1 - z*f as term dicts, z an auxiliary exponent after
+    the variables of f's ring."""
+    minus_f = _scale_terms(f.terms, -1, f.ring.field.characteristic)
+    return [_padded(g.terms, (0,)) for g in polys] + [
+        {(0,) * (f.ring.nvars + 1): 1, **_padded(minus_f, (1,))}]
 
 
 def _saturation(I, f):
     """I : f^infinity, from one elimination with the inverted-variable
     relation 1 - z*f."""
     ring = I.ring
+    _check_ring(ring, f)
     if f.is_zero:
         raise ValueError("saturation by zero")
     if f.is_constant:
         return Ideal(ring, I.generators)
-    return _eliminated(*_rabinowitsch(I.groebner(GREVLEX), f), ring)
+    return _eliminated(ring, _rabinowitsch(I.groebner(GREVLEX), f))
 
 
 def saturate(I, f):
@@ -664,6 +673,8 @@ def saturate(I, f):
 
 def saturate_ideal(I, J):
     """I : J^infinity as the meet of the single-element saturations."""
+    if I.ring != J.ring:
+        raise ValueError("ideals in different rings")
     gens = [g for g in J.generators if not g.is_zero]
     if not gens:
         return Ideal(I.ring, [I.ring.one()])
@@ -671,11 +682,13 @@ def saturate_ideal(I, J):
 
 
 def radical_membership(f, I):
-    """Rabinowitsch test: f in sqrt(I) iff 1 in I + (1 - z*f)."""
+    """Rabinowitsch test: f in sqrt(I) iff 1 in I + (1 - z*f), that is,
+    iff a live entry of its Groebner basis has a constant lead."""
+    _check_ring(I.ring, f)
     if f.is_zero:
         return True
-    big, gens = _rabinowitsch(I.generators, f)
-    return Ideal(big, gens).is_unit
+    return any(not any(lm) for lm, _ in _buchberger(
+        _rabinowitsch(I.generators, f), GREVLEX, f.ring.field))
 
 
 # ---------------------------------------------------------------------------

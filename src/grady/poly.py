@@ -231,10 +231,6 @@ class PolynomialRing:
         c = self.field.one if coeff is None else coeff
         return Polynomial(self, {tuple(exps): c})
 
-    def extend(self, extra_names):
-        """Ring with extra variables appended after the current ones."""
-        return PolynomialRing(self.field, self.variables + tuple(extra_names))
-
     def __eq__(self, other):
         return self is other or (isinstance(other, PolynomialRing)
                                  and other.field == self.field
@@ -245,19 +241,6 @@ class PolynomialRing:
 
     def __repr__(self):
         return f"{self.field!r}[{', '.join(self.variables)}]"
-
-
-def fresh_names(base, count, taken):
-    """Names base0..base{count-1}, suffixed with underscores until fresh."""
-    taken = set(taken)
-    out = []
-    for i in range(count):
-        name = f"{base}{i}"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        out.append(name)
-    return out
 
 
 # ---------------------------------------------------------------------------

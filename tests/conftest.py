@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 
 import pytest
 from hypothesis import settings
@@ -50,3 +52,17 @@ def line_with_torsion(field, modulus, residue=1):
 def ungraded(ring):
     """ring under the trivial grading: every polynomial is homogeneous."""
     return GradedRing(ring, GradingGroup(0, ()), [((), ())] * ring.nvars)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging when a loop never ends."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,11 +1,9 @@
 """Primary decomposition over the supported classes: monomial ideals in
 any number of variables, arbitrary ideals on a line."""
 
-import contextlib
 import itertools
 import math
 import random
-import signal
 from fractions import Fraction
 from functools import reduce
 
@@ -25,6 +23,8 @@ from grady.decomposition import (ASSUMED, VERIFIED, UnsupportedClassError,
 from grady.groebner import (Ideal, _monomial_meet, _monomial_radical, colon,
                             intersect_all)
 from grady.poly import GF, QQ, Polynomial, PolynomialRing
+
+from conftest import time_limit
 
 
 def _from_coeffs(ring, coeffs):
@@ -196,27 +196,13 @@ def _mul(a, b, p):
     return out
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Fail instead of hanging when a splitting loop never ends."""
-    def expire(signum, frame):
-        raise TimeoutError(f"factoring took over {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _check_factoring(f, p):
     """f (dense, any leading coefficient) factors into monic polynomials
     whose product with multiplicities is monic f, and agrees with trial
     division wherever that search is small enough."""
     field = GF(p)
     ring = PolynomialRing(field, ("x",))
-    with _time_limit(10):
+    with time_limit(10):
         factors = {tuple(q): mult
                    for q, mult in _fp_factor(_from_coeffs(ring, f))}
     product = [1]
@@ -312,7 +298,7 @@ def test_high_multiplicity_over_fp_stays_within_budget_time():
     division costs its quotient's length, not a rescan of the dividend."""
     R = PolynomialRing(GF(5), ("x",))
     I = Ideal(R, ["(x - 1)^1401 * (x^2 + 2)^3"])
-    with _time_limit(5):
+    with time_limit(5):
         dec = univariate_primary_decomposition(I)
         radical = radical_ideal(I)
     assert [c.component for c in dec.components] == [

@@ -4,10 +4,11 @@ import heapq
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import grady.groebner as groebner
+from grady.grading import GradedRing, GradingGroup, star
 from grady.groebner import (Ideal, buchberger, colon, eliminate, exact_quotient,
                             ideal_power, ideal_product, ideal_sum, intersect,
                             intersect_all, radical_membership, saturate,
@@ -15,6 +16,8 @@ from grady.groebner import (Ideal, buchberger, colon, eliminate, exact_quotient,
 from grady.poly import (GF, GREVLEX, LEX, QQ, Polynomial, PolynomialRing,
                         TermOrder, mono_div, mono_divides, mono_lcm, mono_mul,
                         parse_polynomial)
+
+from conftest import time_limit
 
 
 def test_normal_form(Rxy):
@@ -399,3 +402,117 @@ def test_katsura3_lex_prunes_pairs(monkeypatch):
         " + 19875*u3^2 + u1 + 2116*u3",
         "18398*u3^7 + 27372*u3^6 + 29096*u3^5 + 12713*u3^4 + 3347*u3^3"
         " + 25377*u3^2 + u0 + 12636*u3 + 32002"]
+
+
+# ---------------------------------------------------------------------------
+# Operations taking a polynomial or a second ideal refuse one from another
+# ring.  Exponent tuples of unequal length zip to the shorter one, so
+# without the check exact_quotient never returns: hence the alarm.
+
+_QX = PolynomialRing(QQ, ("x",))
+_QXY = PolynomialRing(QQ, ("x", "y"))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda I, f: radical_membership(f, I), "polynomial from a different"),
+    (lambda I, f: colon(I, f), "polynomial from a different"),
+    (lambda I, f: saturate(I, f), "polynomial from a different"),
+    (lambda I, f: saturate_ideal(I, Ideal(f.ring, [f])),
+     "ideals in different rings"),
+    (lambda I, f: exact_quotient(f, _QX.gen(0)),
+     "polynomial from a different"),
+], ids=["radical_membership", "colon", "saturate", "saturate_ideal",
+        "exact_quotient"])
+def test_operations_refuse_a_polynomial_from_another_ring(call, message):
+    I = Ideal(_QX, ["x^2"])
+    f = parse_polynomial("x*y", _QXY)
+    with time_limit(5), pytest.raises(ValueError, match=message):
+        call(I, f)
+
+
+# ---------------------------------------------------------------------------
+# Auxiliary variables are exponent positions after the ring's own.  The
+# reference is the pipeline that names them: a ring with the auxiliaries
+# as variables, the public eliminate there, and map_to back.
+
+def _named_eliminated(ring, big, gens):
+    E = eliminate(Ideal(big, gens), big.variables[ring.nvars:])
+    return Ideal(ring, [g.map_to(ring) for g in E.generators])
+
+
+def _polys(ring, count):
+    n = ring.nvars
+    mono = st.tuples(*[st.integers(0, 2 if n < 5 else 1)] * n)
+    poly = st.lists(st.tuples(mono, _coefficients(ring.field)), min_size=1,
+                    max_size=3).map(lambda ts: sum(
+                        (ring.monomial(m, c) for m, c in ts), ring.zero()))
+    return st.lists(poly, min_size=count, max_size=3)
+
+
+@st.composite
+def _auxiliary_cases(draw):
+    field = draw(st.sampled_from([GF(2), GF(5), GF(32003), QQ]))
+    names = tuple(f"x{i}" for i in range(draw(st.integers(1, 3))))
+    aux = tuple(f"t{i}" for i in range(draw(st.integers(1, 3))))
+    big = PolynomialRing(field, names + aux)
+    gens = [g for g in draw(_polys(big, 1)) if not g.is_zero]
+    assume(gens)
+    return PolynomialRing(field, names), big, gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(_auxiliary_cases())
+def test_eliminated_matches_the_named_ring_reference(case):
+    ring, big, gens = case
+    got = groebner._eliminated(ring, [g.terms for g in gens])
+    expected = _named_eliminated(ring, big, gens)
+    assert got.generators == expected.generators
+    assert got.groebner().leads == expected.groebner().leads
+
+
+@st.composite
+def _radical_cases(draw):
+    field = draw(st.sampled_from([GF(2), GF(5), GF(32003), QQ]))
+    ring = PolynomialRing(
+        field, tuple(f"x{i}" for i in range(draw(st.integers(1, 3)))))
+    gens = draw(_polys(ring, 0))
+    f = draw(_polys(ring, 1))[0]
+    if draw(st.booleans()):     # f in the radical for sure
+        gens.append(f ** draw(st.integers(1, 3)))
+    return Ideal(ring, gens), f
+
+
+@settings(max_examples=100, deadline=None)
+@given(_radical_cases())
+def test_radical_membership_matches_the_named_ring_reference(case):
+    I, f = case
+    big = PolynomialRing(I.ring.field, I.ring.variables + ("z",))
+    lifted = [g.map_to(big) for g in I.generators]
+    expected = f.is_zero or Ideal(
+        big, lifted + [big.one() - big.gen("z") * f.map_to(big)]).is_unit
+    assert radical_membership(f, I) == expected
+
+
+def test_auxiliary_variables_build_no_ring(monkeypatch):
+    R = PolynomialRing(QQ, ("x", "y"))
+    I = Ideal(R, ["x^2*y - 1/2*y", "x*y^2 + 3*x"])
+    J = Ideal(R, ["x - y^2"])
+    f = parse_polynomial("x + y", R)
+    gradings = [GradedRing(R, GradingGroup(*shape), degrees)
+                for shape, degrees in [
+                    ((1, ()), [((1,), ()), ((2,), ())]),
+                    ((0, (3,)), [((), (1,)), ((), (2,))]),
+                    ((1, (2,)), [((1,), (1,)), ((0,), (1,))])]]
+    built = []
+    real = PolynomialRing.__init__
+    monkeypatch.setattr(PolynomialRing, "__init__",
+                        lambda ring, *args: built.append(args)
+                        or real(ring, *args))
+    stars = [star(I, graded) for graded in gradings]
+    met = intersect(I, J)
+    saturated, _ = saturate(I, f)
+    member = radical_membership(f, I)
+    monkeypatch.undo()
+    assert built == []
+    assert all(S <= I for S in stars) and met <= J and I <= saturated
+    assert not member
