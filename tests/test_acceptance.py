@@ -2,9 +2,13 @@
 pass/fail line each.  Heavy suites are shared through a session fixture
 so the whole gate runs the engine exactly once."""
 
+from pathlib import Path
+
 import pytest
 
 from grady.selftest import run_all
+
+GOLDEN = Path(__file__).parent / "golden" / "selftest_seed0.out"
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +71,13 @@ def test_criterion_11_oracle_differential(results):
 
 def test_criterion_12_equidimensionality(results):
     _assert_criterion(results, 12)
+
+
+def test_selftest_lines_match_the_golden(results):
+    """`grady selftest` at seed 0 with its timings left out: the detail
+    lines pin every criterion's counts, not only its verdict."""
+    lines = [f"criterion {r.index:2d} [{'pass' if r.passed else 'FAIL'}] "
+             f"{r.name}: {r.detail}" for r in results.values()]
+    lines.append("all criteria passed" if all(
+        r.passed for r in results.values()) else "FAILURES present")
+    assert "\n".join(lines) + "\n" == GOLDEN.read_text(encoding="utf-8")
