@@ -13,7 +13,7 @@ import itertools
 
 from .grading import degree_of, is_g_ideal
 from .groebner import Ideal
-from .poly import parse_polynomial
+from .poly import _same_ring, parse_polynomial
 
 
 class PresentationMatrix:
@@ -21,10 +21,9 @@ class PresentationMatrix:
                  "col_degrees")
 
     def __init__(self, ring, entries, row_degrees=None, col_degrees=None):
-        grid = []
-        for row in entries:
-            grid.append(tuple(parse_polynomial(e, ring) if isinstance(e, str)
-                              else e for e in row))
+        grid = [tuple(parse_polynomial(e, ring) if isinstance(e, str) else e
+                      for e in row) for row in entries]
+        _same_ring(ring, *(e for row in grid for e in row))
         self.ring = ring
         self.entries = tuple(grid)
         self.rows = len(self.entries)
@@ -87,6 +86,7 @@ def graded_matrix_check(M, graded):
     the report failed rather than raising.  Missing degree data is a
     usage error and does raise.
     """
+    _same_ring(M.ring, graded)
     if not M.has_degrees():
         raise ValueError("graded check needs row and column degrees")
     if len(M.row_degrees) != M.rows or len(M.col_degrees) != M.cols:

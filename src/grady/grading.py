@@ -13,7 +13,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .groebner import _eliminated, _published
-from .poly import GREVLEX, Polynomial, ResourceLimitError
+from .poly import GREVLEX, Polynomial, ResourceLimitError, _same_ring
 
 # star eliminates over s^m - 1 for each used torsion modulus m, in time
 # that grows faster than m^2: on a 2-core VM, star of (x - 1) over F5
@@ -125,6 +125,7 @@ class GradedRing:
 def homogeneous_components(f, graded):
     """Split f by degree; returns {Hdeg: component}, insertion-ordered by
     descending grevlex leading term so iteration is reproducible."""
+    _same_ring(f.ring, graded)
     buckets = {}
     for m in sorted(f.terms, key=GREVLEX.desc_key):
         d = graded.degree_of_monomial(m)
@@ -135,12 +136,14 @@ def homogeneous_components(f, graded):
 
 def degree_of(f, graded):
     """Degree of a nonzero homogeneous polynomial, else None."""
+    _same_ring(f.ring, graded)
     degrees = {graded.degree_of_monomial(m) for m in f.terms}
     return degrees.pop() if len(degrees) == 1 else None
 
 
 def is_homogeneous(f, graded):
-    return f.is_zero or degree_of(f, graded) is not None
+    """degree_of goes first: it checks the ring, of a zero f too."""
+    return degree_of(f, graded) is not None or f.is_zero
 
 
 def is_g_ideal(I, graded):
@@ -154,8 +157,7 @@ def is_g_ideal(I, graded):
     basis divides a tail term, so that element is its own normal form,
     hence zero, and g is homogeneous.
     """
-    if I.ring != graded.ring:
-        raise ValueError("ideal and grading live on different rings")
+    _same_ring(I.ring, graded)
     return (graded.group.is_trivial
             or all(is_homogeneous(g, graded) for g in I.generators)
             or all(is_homogeneous(g, graded) for g in I.groebner().elements))
@@ -172,8 +174,7 @@ def star(I, graded):
     substitute, then eliminate the auxiliaries.
     """
     ring = I.ring
-    if ring != graded.ring:
-        raise ValueError("ideal and grading live on different rings")
+    _same_ring(ring, graded)
     # A homogeneous ideal is its own star, and the star's generators are
     # always its reduced basis: I itself when it holds exactly that basis,
     # else the basis published.

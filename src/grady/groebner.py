@@ -53,8 +53,8 @@ from itertools import chain, islice
 from operator import add, itemgetter, le, sub
 
 from .poly import (GREVLEX, Polynomial, ResourceLimitError, TermOrder,
-                   _add_terms, _scale_terms, mono_div, mono_divides,
-                   mono_lcm, mono_mul)
+                   _add_terms, _same_ring, _scale_terms, mono_div,
+                   mono_divides, mono_lcm, mono_mul, parse_polynomial)
 
 
 class GroebnerBasis:
@@ -79,7 +79,7 @@ class GroebnerBasis:
         return self._monomial
 
     def normal_form(self, f):
-        _check_ring(self.ring, f)
+        _same_ring(self.ring, f)
         reducers = [(lm, g.terms) for lm, g in zip(self.leads, self.elements)]
         terms = _reduce_full(dict(f.terms), reducers, self.order,
                              self.ring.field)
@@ -200,6 +200,7 @@ def _spoly_terms(lcm, lm_f, f_terms, lm_g, g_terms, field):
 def buchberger(generators, order):
     """Reduced monic Groebner basis of the generated ideal."""
     ring = generators[0].ring
+    _same_ring(ring, *generators)
     seed = [g.terms for g in generators if g.terms]
     if seed and all(len(terms) == 1 for terms in seed):
         gens = sorted(_monomial_min_gens([next(iter(t)) for t in seed]),
@@ -356,11 +357,9 @@ class Ideal:
         gens = []
         for g in generators:
             if isinstance(g, str):
-                from .poly import parse_polynomial
                 g = parse_polynomial(g, ring)
-            if g.ring != ring:
-                raise ValueError("generator from a different ring")
-            if not g.is_zero:
+            _same_ring(ring, g)
+            if g.terms:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
@@ -384,7 +383,8 @@ class Ideal:
 
     @property
     def is_zero(self):
-        return len(self.groebner(GREVLEX)) == 0
+        """Exact without a basis: zero generators are dropped on entry."""
+        return not self.generators
 
     @property
     def is_unit(self):
@@ -418,8 +418,7 @@ class Ideal:
     def __le__(self, other):
         """self is a subset of other.  Into a monomial ideal by
         divisibility: a polynomial lies in it when every term does."""
-        if self.ring != other.ring:
-            raise ValueError("ideals in different rings")
+        _same_ring(self.ring, other)
         if other.is_monomial:
             return _monomial_le([m for g in self.generators for m in g.terms],
                                 other.monomial_generators())
@@ -451,18 +450,16 @@ def _monomial_ideal(ring, exps):
 
 
 def ideal_sum(I, *rest):
+    _same_ring(I.ring, *rest)
     gens = list(I.generators)
     for J in rest:
-        if J.ring != I.ring:
-            raise ValueError("ideals in different rings")
         gens.extend(J.generators)
     return Ideal(I.ring, gens)
 
 
 def ideal_product(I, J):
     """I * J; monomial generators multiply as exponent tuples."""
-    if I.ring != J.ring:
-        raise ValueError("ideals in different rings")
+    _same_ring(I.ring, J)
     if all(len(g.terms) == 1 for g in I.generators + J.generators):
         return _monomial_ideal(I.ring, _monomial_product(
             *([next(iter(g.terms)) for g in K.generators] for K in (I, J))))
@@ -477,11 +474,6 @@ def ideal_power(I, n):
     for _ in range(n):
         out = ideal_product(out, I)
     return out
-
-
-def _check_ring(ring, f):
-    if f.ring != ring:
-        raise ValueError("polynomial from a different ring")
 
 
 def _padded(terms, tail):
@@ -518,15 +510,14 @@ def eliminate(ideal, variables):
         ring.variable_index(v) if isinstance(v, str) else int(v)
         for v in variables)
     if not indices:
-        return Ideal(ring, ideal.generators)
+        return ideal
     return _slice(ring, [g.terms for g in ideal.generators], indices)
 
 
 def intersect(I, J):
     """I ∩ J.  Monomial pairs use pairwise lcms; the general route scales
     by an auxiliary variable t and eliminates it from t*I + (1-t)*J."""
-    if I.ring != J.ring:
-        raise ValueError("ideals in different rings")
+    _same_ring(I.ring, J)
     ring = I.ring
     if I.is_zero or J.is_zero:
         return Ideal(ring)
@@ -545,14 +536,15 @@ def intersect_all(ideals, ring=None):
     A family of two or more monomial ideals folds the meet of their
     exponent tuples and builds one ideal at the end."""
     ideals = list(ideals)
-    if not ideals:
-        if ring is None:
+    if ring is None:
+        if not ideals:
             raise ValueError("empty intersection needs an explicit ring")
+        ring = ideals[0].ring
+    _same_ring(ring, *ideals)
+    if not ideals:
         return Ideal(ring, [ring.one()])
     if len(ideals) > 1 and all(J.is_monomial for J in ideals):
-        if any(J.ring != ideals[0].ring for J in ideals):
-            raise ValueError("ideals in different rings")
-        return _monomial_ideal(ideals[0].ring, functools.reduce(
+        return _monomial_ideal(ring, functools.reduce(
             _monomial_meet, [J.monomial_generators() for J in ideals]))
     out = ideals[0]
     for J in ideals[1:]:
@@ -562,7 +554,7 @@ def intersect_all(ideals, ring=None):
 
 def exact_quotient(f, g):
     """f / g for f in (g); raises ArithmeticError when not divisible."""
-    _check_ring(f.ring, g)
+    _same_ring(f.ring, g)
     lt = g.leading_term()
     if lt is None:
         raise ArithmeticError("division by zero polynomial")
@@ -587,13 +579,11 @@ def exact_quotient(f, g):
 def colon(I, J):
     """Ideal quotient I : J; J may be a polynomial or an ideal, but not
     zero."""
+    _same_ring(I.ring, J)
     if isinstance(J, Polynomial):
-        _check_ring(I.ring, J)
         if J.is_zero:
             raise ValueError("colon by zero")
         return _colon_poly(I, J)
-    if I.ring != J.ring:
-        raise ValueError("ideals in different rings")
     gens = [g for g in J.generators if not g.is_zero]
     if not gens:
         raise ValueError("colon by the zero ideal")
@@ -603,7 +593,7 @@ def colon(I, J):
 def _colon_poly(I, g):
     ring = I.ring
     if g.is_constant:
-        return Ideal(ring, I.generators)
+        return I
     if I.is_zero:
         return Ideal(ring)
     if I.is_monomial and g.is_monomial:
@@ -638,13 +628,12 @@ def _rabinowitsch(polys, f):
 def _saturation(I, f):
     """I : f^infinity, from one elimination with the inverted-variable
     relation 1 - z*f."""
-    ring = I.ring
-    _check_ring(ring, f)
+    _same_ring(I.ring, f)
     if f.is_zero:
         raise ValueError("saturation by zero")
     if f.is_constant:
-        return Ideal(ring, I.generators)
-    return _eliminated(ring, _rabinowitsch(I.groebner(GREVLEX), f))
+        return I
+    return _eliminated(I.ring, _rabinowitsch(I.groebner(GREVLEX), f))
 
 
 def saturate(I, f):
@@ -673,8 +662,7 @@ def saturate(I, f):
 
 def saturate_ideal(I, J):
     """I : J^infinity as the meet of the single-element saturations."""
-    if I.ring != J.ring:
-        raise ValueError("ideals in different rings")
+    _same_ring(I.ring, J)
     gens = [g for g in J.generators if not g.is_zero]
     if not gens:
         return Ideal(I.ring, [I.ring.one()])
@@ -684,7 +672,7 @@ def saturate_ideal(I, J):
 def radical_membership(f, I):
     """Rabinowitsch test: f in sqrt(I) iff 1 in I + (1 - z*f), that is,
     iff a live entry of its Groebner basis has a constant lead."""
-    _check_ring(I.ring, f)
+    _same_ring(I.ring, f)
     if f.is_zero:
         return True
     return any(not any(lm) for lm, _ in _buchberger(

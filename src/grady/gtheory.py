@@ -48,9 +48,9 @@ def is_g_radical(I, graded):
 def is_g_prime(P, graded):
     """A proper homogeneous P is G-prime iff it is the star of one of its
     own minimal primes."""
+    _require_homogeneous(P, graded, "is_g_prime")
     if P.is_unit:
         return False
-    _require_homogeneous(P, graded, "is_g_prime")
     return any(star(p, graded) == P for p in minimal_primes(P))
 
 
@@ -74,9 +74,9 @@ def _stars_to_itself(Q, star_of, dec):
 
 
 def is_g_primary(Q, graded):
+    _require_homogeneous(Q, graded, "is_g_primary")
     if Q.is_unit:
         return False
-    _require_homogeneous(Q, graded, "is_g_primary")
     return _stars_to_itself(Q, _star_memo(graded), _certified(
         classical_decomposition(Q), "the G-primary test is not certified"))
 

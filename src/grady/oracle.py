@@ -45,7 +45,8 @@ import numpy as np
 
 from .grading import GradedRing, star
 from .groebner import GREVLEX, Ideal
-from .poly import GF, Polynomial, PolynomialRing, ResourceLimitError
+from .poly import (GF, Polynomial, PolynomialRing, ResourceLimitError,
+                   _same_ring)
 
 
 def monomials_up_to(nvars, bound):
@@ -109,6 +110,7 @@ class TruncatedSpace:
         return len(self.monomials)
 
     def vector(self, f):
+        _same_ring(self.ring, f)
         v = np.zeros(self.dimension, dtype=np.int64)
         for m, c in f.terms.items():
             if m not in self.index:
@@ -370,6 +372,7 @@ def _homogeneous_blocks(graded, space):
 
 def truncated_star_basis(I, graded, degree_bound):
     """{f : deg f <= D, every homogeneous component of f lies in I}."""
+    _same_ring(I.ring, graded)
     space = TruncatedSpace(I.ring, degree_bound)
     if I.is_monomial:
         return _monomial_basis(I, space)
@@ -486,6 +489,7 @@ def oracle_compare(I, graded, degree_bound=None, star_ideal=None):
     reduced basis to the same ideal, and every such prime must agree.
     """
     S = star(I, graded) if star_ideal is None else star_ideal
+    _same_ring(I.ring, graded, S)
     if degree_bound is None:
         degree_bound = _top_degree(S.canonical_generators()) + 2
     if I.ring.field.characteristic:

@@ -22,7 +22,18 @@ class PolyParseError(ValueError):
 
 
 class RingMismatchError(ValueError):
-    pass
+    """Objects passed to one operation live in different rings; raised by
+    _same_ring alone.  A ValueError, so a job refuses it as bad input."""
+
+
+def _same_ring(ring, *items):
+    """Raise RingMismatchError unless every item's .ring equals ring: the
+    polynomials, ideals, matrices and gradings of one operation share one
+    ring, or exponent tuples of unequal length zip to the shorter one and
+    drop variables.  Identity is tested first, sparing calls to __eq__."""
+    for item in items:
+        if item.ring is not ring and item.ring != ring:
+            raise RingMismatchError(f"{ring!r} vs {item.ring!r}")
 
 
 class ResourceLimitError(Exception):
@@ -337,14 +348,10 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring!r} vs {other.ring!r}")
-
     def __add__(self, other):
         if isinstance(other, int):
             other = self.ring.constant(other)
-        self._check(other)
+        _same_ring(self.ring, other)
         return Polynomial(self.ring, _add_terms(
             dict(self.terms), other.terms, self.ring.field.characteristic),
             _clean=True)
@@ -352,7 +359,7 @@ class Polynomial:
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.ring.constant(other)
-        self._check(other)
+        _same_ring(self.ring, other)
         return Polynomial(self.ring, _add_terms(
             dict(self.terms), other.terms, self.ring.field.characteristic,
             sub), _clean=True)
@@ -364,7 +371,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
+        _same_ring(self.ring, other)
         return Polynomial(self.ring, _mul_terms(
             self.terms, other.terms, self.ring.field.characteristic),
             _clean=True)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from .decomposition import (associated_primes, check_minimal,
                             classical_decomposition, minimal_primes,
-                            monomial_dimension,
                             monomial_primary_decomposition, monomial_radical)
 from .fitting import PresentationMatrix, fitting_ideal, graded_matrix_check
-from .grading import GradedRing, GradingGroup, is_g_ideal, star
+from .grading import GradedRing, GradingGroup, star
 from .groebner import Ideal, colon, ideal_sum, intersect
 from .gtheory import (_canon_key, g_associated_primes, g_minimal_primes,
                       g_primary_decomposition, g_radical, is_g_primary,

@@ -1,6 +1,7 @@
 """Groebner bases and the ideal operations built on them."""
 
 import heapq
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import grady.groebner as groebner
-from grady.grading import GradedRing, GradingGroup, star
+from grady.fitting import PresentationMatrix, graded_matrix_check
+from grady.grading import (GradedRing, GradingGroup, degree_of,
+                           homogeneous_components, is_g_ideal,
+                           is_homogeneous, star)
 from grady.groebner import (Ideal, buchberger, colon, eliminate, exact_quotient,
                             ideal_power, ideal_product, ideal_sum, intersect,
                             intersect_all, radical_membership, saturate,
                             saturate_ideal)
+from grady.gtheory import is_g_primary, is_g_prime
+from grady.oracle import oracle_compare, truncated_star_basis
 from grady.poly import (GF, GREVLEX, LEX, QQ, Polynomial, PolynomialRing,
-                        TermOrder, mono_div, mono_divides, mono_lcm, mono_mul,
-                        parse_polynomial)
+                        RingMismatchError, TermOrder, mono_div, mono_divides,
+                        mono_lcm, mono_mul, parse_polynomial)
 
 from conftest import time_limit
 
@@ -414,20 +420,115 @@ _QXY = PolynomialRing(QQ, ("x", "y"))
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda I, f: radical_membership(f, I), "polynomial from a different"),
-    (lambda I, f: colon(I, f), "polynomial from a different"),
-    (lambda I, f: saturate(I, f), "polynomial from a different"),
-    (lambda I, f: saturate_ideal(I, Ideal(f.ring, [f])),
-     "ideals in different rings"),
-    (lambda I, f: exact_quotient(f, _QX.gen(0)),
-     "polynomial from a different"),
+    (lambda I, f: radical_membership(f, I), "QQ[x] vs QQ[x, y]"),
+    (lambda I, f: colon(I, f), "QQ[x] vs QQ[x, y]"),
+    (lambda I, f: saturate(I, f), "QQ[x] vs QQ[x, y]"),
+    (lambda I, f: saturate_ideal(I, Ideal(f.ring, [f])), "QQ[x] vs QQ[x, y]"),
+    (lambda I, f: exact_quotient(f, _QX.gen(0)), "QQ[x, y] vs QQ[x]"),
 ], ids=["radical_membership", "colon", "saturate", "saturate_ideal",
         "exact_quotient"])
 def test_operations_refuse_a_polynomial_from_another_ring(call, message):
     I = Ideal(_QX, ["x^2"])
     f = parse_polynomial("x*y", _QXY)
-    with time_limit(5), pytest.raises(ValueError, match=message):
+    with time_limit(5), pytest.raises(RingMismatchError,
+                                      match=f"^{re.escape(message)}$"):
         call(I, f)
+
+
+# Every entry point that takes objects of more than one ring raises
+# RingMismatchError, naming its first argument's ring, then the other.
+# Unchecked, the first five answered wrongly (y dropped, a false fail, an
+# ideal of the wrong ring, a generator lost), the oracle pair failed
+# inside numpy, a truncated space read x over F7 as x over F5, and the
+# G-prime and G-primary tests answered a unit ideal before any check.
+
+_F5X = PolynomialRing(GF(5), ("x",))
+_F5XY = PolynomialRing(GF(5), ("x", "y"))
+_F7X = PolynomialRing(GF(7), ("x",))
+
+
+def _z_graded(ring):
+    return GradedRing(ring, GradingGroup(1), [((1,), ())])
+
+
+def _poly(text, ring=_QXY):
+    return parse_polynomial(text, ring)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: homogeneous_components(_poly("x*y + x^2"), _z_graded(_QX)),
+     "QQ[x, y] vs QQ[x]"),
+    (lambda: degree_of(_poly("x*y + x^2"), _z_graded(_QX)),
+     "QQ[x, y] vs QQ[x]"),
+    (lambda: is_homogeneous(_poly("x*y + x^2"), _z_graded(_QX)),
+     "QQ[x, y] vs QQ[x]"),
+    (lambda: graded_matrix_check(PresentationMatrix(
+        _QXY, [["x", "y"]], [((0,), ())], [((-1,), ())] * 2),
+        _z_graded(_QX)), "QQ[x, y] vs QQ[x]"),
+    (lambda: intersect_all([Ideal(_QXY, ["x"])], _QX), "QQ[x] vs QQ[x, y]"),
+    (lambda: buchberger([_poly("x*y - 1"), _poly("x^2 - 1", _QX)], GREVLEX),
+     "QQ[x, y] vs QQ[x]"),
+    (lambda: truncated_star_basis(Ideal(_F5XY, ["x*y - 1"]),
+                                  _z_graded(_F5X), 4),
+     "GF(5)[x, y] vs GF(5)[x]"),
+    (lambda: oracle_compare(Ideal(_F5X, ["x^2 - 1"]), _z_graded(_F5X),
+                            star_ideal=Ideal(_F5XY, ["x^2 - 1"])),
+     "GF(5)[x] vs GF(5)[x, y]"),
+    (lambda: truncated_star_basis(Ideal(_F5X, ["x^2"]), _z_graded(_F5X),
+                                  4).contains(_poly("x", _F7X)),
+     "GF(5)[x] vs GF(7)[x]"),
+    (lambda: PresentationMatrix(_QX, [[_poly("x*y")]]), "QQ[x] vs QQ[x, y]"),
+    (lambda: Ideal(_QX, [_poly("x*y")]), "QQ[x] vs QQ[x, y]"),
+    (lambda: Ideal(_QX, ["x"]).groebner().normal_form(_poly("x*y")),
+     "QQ[x] vs QQ[x, y]"),
+    (lambda: _QX.gen(0) + _poly("x*y"), "QQ[x] vs QQ[x, y]"),
+    (lambda: Ideal(_QX, ["x"]) <= Ideal(_QXY, ["x"]), "QQ[x] vs QQ[x, y]"),
+    (lambda: ideal_sum(Ideal(_QX, ["x"]), Ideal(_QXY, ["y"])),
+     "QQ[x] vs QQ[x, y]"),
+    (lambda: ideal_product(Ideal(_QX, ["x"]), Ideal(_QXY, ["y"])),
+     "QQ[x] vs QQ[x, y]"),
+    (lambda: intersect(Ideal(_QX, ["x"]), Ideal(_QXY, ["y"])),
+     "QQ[x] vs QQ[x, y]"),
+    (lambda: colon(Ideal(_QX, ["x"]), Ideal(_QXY, ["y"])),
+     "QQ[x] vs QQ[x, y]"),
+    (lambda: is_g_ideal(Ideal(_QXY, ["x*y + x^2"]), _z_graded(_QX)),
+     "QQ[x, y] vs QQ[x]"),
+    (lambda: star(Ideal(_QXY, ["x*y + x^2"]), _z_graded(_QX)),
+     "QQ[x, y] vs QQ[x]"),
+    (lambda: is_g_prime(Ideal(_QXY, ["1"]), _z_graded(_QX)),
+     "QQ[x, y] vs QQ[x]"),
+    (lambda: is_g_primary(Ideal(_QXY, ["1"]), _z_graded(_QX)),
+     "QQ[x, y] vs QQ[x]"),
+], ids=["homogeneous_components", "degree_of", "is_homogeneous",
+        "graded_matrix_check", "intersect_all_singleton", "buchberger",
+        "truncated_star_basis", "oracle_compare_star_ideal",
+        "truncated_space_vector", "PresentationMatrix", "Ideal",
+        "normal_form", "polynomial_add", "ideal_le", "ideal_sum",
+        "ideal_product", "intersect", "colon_ideal", "is_g_ideal", "star",
+        "is_g_prime_unit", "is_g_primary_unit"])
+def test_every_entry_point_refuses_another_ring(call, message):
+    with time_limit(5), pytest.raises(RingMismatchError,
+                                      match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_trivial_cases_start_no_buchberger_run(monkeypatch):
+    """A colon or saturation by a constant and an elimination of no
+    variables return their ideal, cached basis and all; is_zero reads the
+    generators."""
+    runs = []
+    run = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger",
+                        lambda *args: runs.append(args) or run(*args))
+    I = Ideal(_QXY, ["x^2 + y", "x*y - 1"])
+    assert not I.is_zero and Ideal(_QXY, ["0"]).is_zero
+    assert not runs
+    basis = I.canonical_generators()
+    assert len(runs) == 1
+    three = _QXY.constant(3)
+    for J in (colon(I, three), saturate(I, three)[0], eliminate(I, [])):
+        assert J.canonical_generators() == basis
+    assert len(runs) == 1
 
 
 # ---------------------------------------------------------------------------
