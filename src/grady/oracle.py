@@ -23,10 +23,15 @@ star's top generator degree, the least bound that is not vacuous.
   homogeneous block.  Each block kernel is born in reduced row echelon
   form (the block is reduced with its columns reversed), and blocks have
   disjoint supports, so their rows sorted by pivot are already the RREF
-  of the whole space.
+  of the whole space.  Modulo a binomial basis the normal form of a
+  monomial is a single term (Eisenbud and Sturmfels 1996), so N has at
+  most one nonzero per row.  Such a term-shaped N needs no row
+  reduction: within a block, the monomials whose normal forms share a
+  column are tied by one relation, and the kernel of all blocks at once
+  is written down directly.
 - The escape check.  A truncated star vector b lies in the computed star
   S exactly when b N_S = 0 mod p, so all of them are checked with one
-  product.
+  product; a claimed star with I's reduced basis reuses I's N.
 - Exactness.  Products are exact in int64: GF caps p below 2**31, and
   a product with inner dimension k is taken whole when
   (p - 1)^2 k < 2^63, otherwise with one factor split into 16-bit limbs,
@@ -202,7 +207,8 @@ def _kernel(A, p):
     the right of the free columns it couples with.  The kernel vector of
     free column f (1 there, minus the reversed RREF's column at the
     pivots) then leads with f and is zero at the other free columns:
-    the rows, ordered by f, are already reduced.
+    the rows, ordered by f, are already reduced.  _block_kernels calls it
+    only for a normal-form matrix that is not term-shaped.
     """
     ncols = A.shape[1]
     R, reversed_pivots = _rref(A[:, ::-1], p)
@@ -336,7 +342,10 @@ def _monomial_basis(I, space):
 def _block_kernels(space, N, blocks):
     """Subspace of the vectors whose restriction to each block (disjoint
     increasing index arrays) lies in the kernel of the normal-form
-    matrix N: the block kernels, merged by pivot."""
+    matrix N: the block kernels, merged by pivot.  A term-shaped N (at
+    most one nonzero per row) takes _term_kernel instead."""
+    if (np.count_nonzero(N, axis=1) <= 1).all():
+        return _term_kernel(space, N, blocks)
     p = space.ring.field.characteristic
     kernels = []
     for idx in blocks:
@@ -351,6 +360,38 @@ def _block_kernels(space, N, blocks):
         r += len(K)
     order = np.argsort(pivots)
     return Subspace.from_rref(space, matrix[order], pivots[order])
+
+
+def _term_kernel(space, N, blocks):
+    """_block_kernels for a term-shaped N, whose row m is c_m e_j(m) or
+    zero, as modulo a binomial basis: one kernel for all blocks, in
+    closed form.  A monomial of normal form zero is free; the others of
+    one block and one column j are tied by the single relation
+    sum c_m x_m = 0, whose kernel in RREF has the row
+    e_m - (c_m / c_l) e_l for each member m but the last, l."""
+    p = space.ring.field.characteristic
+    dim, ncols = N.shape
+    block = np.empty(dim, dtype=np.int64)
+    block[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)),
+                                              list(map(len, blocks)))
+    column = N.argmax(axis=1)
+    coef = N[np.arange(dim), column]
+    key = block * ncols + column
+    live = np.flatnonzero(coef)
+    live = live[np.argsort(key[live], kind="stable")]
+    key = key[live]
+    last = np.diff(key, append=-1) != 0
+    group = np.cumsum(last) - last
+    tails = live[last]
+    inverses = np.array([pow(c, -1, p) for c in coef[tails].tolist()],
+                        dtype=np.int64)
+    tied, group = live[~last], group[~last]
+    pivots = np.sort(np.concatenate([np.flatnonzero(coef == 0), tied]))
+    matrix = np.zeros((len(pivots), dim), dtype=np.int64)
+    matrix[np.arange(len(pivots)), pivots] = 1
+    matrix[np.searchsorted(pivots, tied), tails[group]] = \
+        -coef[tied] * inverses[group] % p
+    return Subspace.from_rref(space, matrix, pivots)
 
 
 def _homogeneous_blocks(graded, space):
@@ -370,30 +411,37 @@ def _homogeneous_blocks(graded, space):
         (dots[1:] != dots[:-1]).any(axis=1)) + 1)
 
 
+def _star_space(I, graded, space):
+    """(truncated star basis of I in space, I's normal-form matrix and
+    reducible mask, or None for a monomial I)."""
+    if I.is_monomial:
+        return _monomial_basis(I, space), None
+    normal_forms = _normal_form_matrix(I.groebner(GREVLEX), space)
+    return _block_kernels(space, normal_forms[0],
+                          _homogeneous_blocks(graded, space)), normal_forms
+
+
 def truncated_star_basis(I, graded, degree_bound):
     """{f : deg f <= D, every homogeneous component of f lies in I}."""
     _same_ring(I.ring, graded)
-    space = TruncatedSpace(I.ring, degree_bound)
-    if I.is_monomial:
-        return _monomial_basis(I, space)
-    N, _ = _normal_form_matrix(I.groebner(GREVLEX), space)
-    return _block_kernels(space, N, _homogeneous_blocks(graded, space))
+    return _star_space(I, graded, TruncatedSpace(I.ring, degree_bound))[0]
 
 
-def _first_escape(B, S):
+def _first_escape(B, S, normal_forms):
     """Index of the first row of B whose polynomial is not in S, or None.
 
     With N the normal-form matrix of S, the normal forms of the rows are
     B[:, standard] + B[:, reducible] N[reducible] mod p; a monomial S has
-    N = 0 on its reducible monomials.
+    N = 0 on its reducible monomials.  normal_forms is S's (N,
+    reducible), or None for a monomial S.
     """
     space = B.space
     p = space.ring.field.characteristic
-    gb = S.groebner(GREVLEX)
     if S.is_monomial:
-        E = B.matrix[:, ~space.divisible(gb.leads).any(axis=1)]
+        leads = S.groebner(GREVLEX).leads
+        E = B.matrix[:, ~space.divisible(leads).any(axis=1)]
     else:
-        N, reducible = _normal_form_matrix(gb, space)
+        N, reducible = normal_forms
         E = (B.matrix[:, ~reducible]
              + _matmul_mod(B.matrix[:, reducible], N[reducible], p)) % p
     escaping = np.flatnonzero(E.any(axis=1))
@@ -429,9 +477,13 @@ def _compare_mod_p(I, graded, degree_bound, S):
             f"degree bound {degree_bound} below generator degree "
             f"{maxdeg} + 2")
 
-    B = truncated_star_basis(I, graded, degree_bound)
-    space = B.space
-    escape = _first_escape(B, S)
+    space = TruncatedSpace(I.ring, degree_bound)
+    B, normal_forms = _star_space(I, graded, space)
+    # A star with I's reduced basis has I's normal forms.
+    if S != I:
+        normal_forms = (None if S.is_monomial else
+                        _normal_form_matrix(S.groebner(GREVLEX), space))
+    escape = _first_escape(B, S, normal_forms)
     if escape is not None:
         return OracleVerdict(
             "fail", "truncated star vector escapes the computed star",

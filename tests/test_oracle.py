@@ -14,9 +14,9 @@ from grady.grading import (GradedRing, GradingGroup, homogeneous_components,
                            star)
 from grady.groebner import GREVLEX, Ideal
 from grady.oracle import (BadPrimeError, OracleVerdict, ResourceLimitError,
-                          Subspace, TruncatedSpace, _first_escape,
-                          _homogeneous_blocks, _kernel, _matmul_mod,
-                          _normal_form_matrix, _rref,
+                          Subspace, TruncatedSpace, _block_kernels,
+                          _first_escape, _homogeneous_blocks, _kernel,
+                          _matmul_mod, _normal_form_matrix, _rref,
                           monomials_up_to, oracle_compare, reduce_ideal_mod,
                           truncated_star_basis)
 from grady.poly import GF, QQ, Polynomial, PolynomialRing, parse_polynomial
@@ -397,15 +397,18 @@ def _oracle_reference(I, graded, bound, S):
 def _oracle_cases(draw):
     """(ideal, grading, degree bound, another ideal) over 1-4 variables
     and the four fields; the other ideal contains the first half the
-    time, so escapes are neither certain nor absent."""
+    time, so escapes are neither certain nor absent.  A third of the
+    time every generator is a binomial, so the normal forms are terms."""
     p = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(1, 4))
     ring = PolynomialRing(GF(p), ("x", "y", "z", "w")[:n])
     top = {1: 4, 2: 3, 3: 2, 4: 2}[n]
     mono = st.lists(st.integers(0, n - 1), max_size=top).map(
         lambda vs: tuple(vs.count(i) for i in range(n)))
-    poly = st.dictionaries(mono, st.integers(1, p - 1), min_size=1,
-                           max_size=3).map(lambda t: Polynomial(ring, t))
+    sizes = draw(st.sampled_from(((1, 3), (1, 3), (2, 2))))
+    poly = st.dictionaries(mono, st.integers(1, p - 1), min_size=sizes[0],
+                           max_size=sizes[1]).map(
+                               lambda t: Polynomial(ring, t))
     I = Ideal(ring, draw(st.lists(poly, min_size=1,
                                   max_size=3 if n < 4 else 2)))
     rank = draw(st.integers(0, 2))
@@ -453,7 +456,7 @@ def test_matmul_mod_at_the_dimension_budget():
     assert (_matmul_mod(A[:, :1], B[:1], p) == 1).all()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(_oracle_cases())
 def test_normal_form_matrix_matches_per_monomial_reduction(case):
     I, _, bound, _ = case
@@ -501,6 +504,73 @@ def test_wave_fill_matches_the_row_fill_at_the_budget_edge():
     assert peak < 2 * N.nbytes
 
 
+def test_term_kernel_matches_the_block_kernels_at_the_budget_edge():
+    # 3,654 monomials modulo a binomial basis, the largest field, 53
+    # blocks of Z + Z/2
+    ring = PolynomialRing(GF(2147483647), ("x", "y", "z"))
+    space = TruncatedSpace(ring, 26)
+    assert space.dimension == 3654
+    graded = GradedRing(ring, GradingGroup(1, (2,)),
+                        [((1,), (1,)), ((1,), (0,)), ((1,), (1,))])
+    gb = Ideal(ring, ["x*y - 3*z^2", "x^3 - 2*y"]).groebner(GREVLEX)
+    N, _ = _normal_form_matrix(gb, space)
+    assert (np.count_nonzero(N, axis=1) <= 1).all()
+    blocks = _homogeneous_blocks(graded, space)
+    tracemalloc.start()
+    try:
+        B = _block_kernels(space, N, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each block's rows of B are its kernel from _kernel, and vanish
+    # outside the block.
+    p = ring.field.characteristic
+    pivots, nonzeros = [], 0
+    for idx in blocks:
+        rows = N[idx]
+        K, free = _kernel(rows[:, rows.any(axis=0)].T, p)
+        mine = np.flatnonzero(np.isin(B.pivots, idx))
+        assert np.array_equal(B.matrix[np.ix_(mine, idx)], K)
+        pivots.extend(idx[free].tolist())
+        nonzeros += np.count_nonzero(K)
+    assert B.pivots == sorted(pivots) and B.dimension == 2300
+    assert np.count_nonzero(B.matrix) == nonzeros
+    # The output plus arrays of the space's length: no block-diagonal
+    # map and no reordered copy of the rows.
+    assert peak < B.matrix.nbytes + N.nbytes
+
+
+def test_compare_fills_one_normal_form_matrix_for_a_star_with_the_basis(
+        monkeypatch):
+    ring = PolynomialRing(GF(7), ("x", "y", "z"))
+    graded = GradedRing(ring, GradingGroup(1, ()), [((1,), ())] * 3)
+    I = Ideal(ring, ["x^2 - y*z", "x*y - z^2"])
+    S = star(I, graded)
+    assert S == I and not S.is_monomial
+    gens = S.canonical_generators()
+    bound = max(g.total_degree() for g in gens) + 2
+    filled = []
+    real = oracle._normal_form_matrix
+
+    def counting(gb, space):
+        filled.append(gb)
+        return real(gb, space)
+
+    monkeypatch.setattr(oracle, "_normal_form_matrix", counting)
+    assert oracle_compare(I, graded, bound, star_ideal=S).passed
+    assert len(filled) == 1
+    # Without x*y - z^2 the claim has another basis, so its own N, and
+    # the dropped generator escapes it.
+    filled.clear()
+    claim = Ideal(ring, [g for g in gens if str(g) != "x*y + 6*z^2"])
+    assert len(claim.generators) == len(gens) - 1
+    verdict = oracle_compare(I, graded, bound, star_ideal=claim)
+    assert verdict == OracleVerdict(
+        "fail", "truncated star vector escapes the computed star",
+        "6*x*y + z^2")
+    assert len(filled) == 2
+
+
 def test_lexsort_blocks_match_the_unique_grouping():
     ring = PolynomialRing(GF(5), ("x", "y", "z"))
     space = TruncatedSpace(ring, 5)
@@ -520,7 +590,7 @@ def test_lexsort_blocks_match_the_unique_grouping():
         [list(range(space.dimension))]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(_oracle_cases())
 def test_lexsort_blocks_match_the_unique_grouping_on_random_gradings(case):
     I, graded, bound, _ = case
@@ -529,7 +599,7 @@ def test_lexsort_blocks_match_the_unique_grouping_on_random_gradings(case):
         [b.tolist() for b in _homogeneous_blocks_reference(graded, space)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(_oracle_cases(), st.integers(1, 3))
 def test_star_basis_and_verdict_match_the_references(case, cut):
     I, graded, bound, S = case
@@ -542,7 +612,10 @@ def test_star_basis_and_verdict_match_the_references(case, cut):
     for claim in (S, first_rows):
         escapes = [i for i, b in enumerate(B.polynomials())
                    if not claim.contains(b)]
-        assert _first_escape(B, claim) == (escapes[0] if escapes else None)
+        normal_forms = (None if claim.is_monomial else _normal_form_matrix(
+            claim.groebner(GREVLEX), B.space))
+        assert _first_escape(B, claim, normal_forms) == \
+            (escapes[0] if escapes else None)
         assert oracle_compare(I, graded, bound, star_ideal=claim) == \
             _oracle_reference(I, graded, bound, claim)
 
