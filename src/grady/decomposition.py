@@ -17,7 +17,7 @@ from functools import reduce
 from .groebner import (GREVLEX, Ideal, _monomial_ideal, _monomial_le,
                        _monomial_meet, _monomial_min_gens, _monomial_radical,
                        _published, intersect, intersect_all)
-from .poly import Polynomial, ResourceLimitError, _scale_terms
+from .poly import Polynomial, ResourceLimitError, _cleared, _primitive
 
 
 class UnsupportedClassError(Exception):
@@ -235,14 +235,13 @@ def _principal(ring, a, mult=1):
     """The ideal (a^mult) of the dense list a (integers over Q, residues
     over F_p), published with its monic generator, whose terms descend
     as in a reduced basis."""
-    p = ring.field.characteristic
     g = [1]
     for _ in range(mult):
-        g = _mul_uni(g, a, p)
-    terms = _scale_terms({(i,): c for i, c in reversed(list(enumerate(g)))
-                          if c}, ring.field.inv(g[-1]), p)
-    return _published(ring, [Polynomial(ring, terms, _clean=True)],
-                      [(len(g) - 1,)])
+        g = _mul_uni(g, a, ring.field.characteristic)
+    lm = (len(g) - 1,)
+    terms = ring.field.publish(lm, {(i,): c for i, c in
+                                    reversed(list(enumerate(g))) if c})
+    return _published(ring, [Polynomial(ring, terms, _clean=True)], [lm])
 
 
 def _component(ring, base, mult, status=VERIFIED):
@@ -291,8 +290,7 @@ def _squarefree(f):
     p = f.ring.field.characteristic
     coeffs = _coeffs(f)
     if not p:
-        den = math.lcm(*(c.denominator for c in coeffs))
-        a = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+        a = _primitive(_cleared(coeffs)[0], coeffs[-1])
         return _yun(a, _z_gcd, _z_exquo)[0]
     a = _fp_monic(coeffs, p)
     out = []
@@ -424,21 +422,12 @@ def _fp_factor(f):
     """[(monic irreducible residue list, multiplicity)] of the univariate
     polynomial f over F_p: each squarefree part split with one generator
     seeded per call, so runs repeat exactly."""
-    p = f.ring.field.characteristic
     rng = random.Random(0)
     return [(q, mult) for s, mult in _squarefree(f)
-            for q in _fp_split(s, p, rng)]
+            for q in _fp_split(s, f.ring.field.characteristic, rng)]
 
 
 # Over Q: primitive integer lists, trimmed, lead positive.
-
-def _primitive(a):
-    """a divided by its content, signed so the lead is positive."""
-    g = math.gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
 
 def _z_prem(a, b):
     """Primitive part of a pseudo-remainder of a by b over Z: a mod b up
@@ -457,7 +446,7 @@ def _z_prem(a, b):
             a[s + i] -= v * b[i]
         while a and not a[-1]:
             a.pop()
-    return _primitive(a) if a else a
+    return _primitive(a, a[-1]) if a else a
 
 
 def _z_gcd(a, b):
@@ -469,7 +458,7 @@ def _z_gcd(a, b):
         if len(b) == 1:
             return [1]
         a, b = b, _z_prem(a, b)
-    return _primitive(a)
+    return _primitive(a, a[-1])
 
 
 def _z_exquo(a, b):
@@ -639,10 +628,9 @@ def radical_ideal(I):
         gb = list(I.groebner(GREVLEX))
         if not gb:
             return Ideal(ring)
-        p = ring.field.characteristic
         product = [1]
         for s, _ in _squarefree(gb[0]):
-            product = _mul_uni(product, s, p)
+            product = _mul_uni(product, s, ring.field.characteristic)
         return _principal(ring, product)
     raise UnsupportedClassError("radical outside supported classes")
 

@@ -137,6 +137,11 @@ def homogeneous_components(f, graded):
 def degree_of(f, graded):
     """Degree of a nonzero homogeneous polynomial, else None."""
     _same_ring(f.ring, graded)
+    return _degree(f, graded)
+
+
+def _degree(f, graded):
+    """degree_of without the ring check, for a caller that made it."""
     degrees = {graded.degree_of_monomial(m) for m in f.terms}
     return degrees.pop() if len(degrees) == 1 else None
 
@@ -159,8 +164,9 @@ def is_g_ideal(I, graded):
     """
     _same_ring(I.ring, graded)
     return (graded.group.is_trivial
-            or all(is_homogeneous(g, graded) for g in I.generators)
-            or all(is_homogeneous(g, graded) for g in I.groebner().elements))
+            or all(_degree(g, graded) is not None for g in I.generators)
+            or all(_degree(g, graded) is not None
+                   for g in I.groebner().elements))
 
 
 def star(I, graded):

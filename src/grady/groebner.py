@@ -8,14 +8,14 @@ keyed, and retires the elements whose leads it divides.  Division is
 heap-based (Monagan and Pearce 2007): each monomial's order key is
 computed once, when it first enters the working polynomial.
 
-Coefficients: over F_p a basis entry is monic.  Over Q it is a primitive
-integer term dict (denominators cleared, content divided out, lead
-positive), so the kernel does no Fraction arithmetic: a reducer with a
-lead coefficient other than one pseudo-divides, and an S-polynomial
-crosses the two leads over their gcd.  An entry differs from the monic
-one by a scalar, so the leads, pairs and sugar of a run are those of a
-monic run; _reduce_basis divides by the lead coefficient only when it
-publishes an element.
+Coefficients: poly.CoefficientField owns their form; the kernel tests no
+characteristic.  field.entry makes a basis entry, monic over F_p and over
+Q a primitive integer term dict (denominators cleared, content divided
+out, lead positive), so the kernel does no Fraction arithmetic: a reducer
+with a lead coefficient other than one pseudo-divides, an S-polynomial
+crosses the two leads over their gcd, and field.canonical reduces mod p.
+An entry is a multiple of the monic one, so leads, pairs and sugar are a
+monic run's; field.publish makes it monic when _reduce_basis publishes it.
 
 Determinism contract: S-pairs are processed in a fixed order (sugar, lcm
 under the working order, then generator indices), bases are reduced and
@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from fractions import Fraction
 from itertools import chain, islice
 from operator import add, itemgetter, le, sub
 
@@ -118,9 +117,9 @@ class GroebnerBasis:
 
 def _reduce_full(work, reducers, order, field):
     """Fully reduce a term dict (consumed) against reducers, basis entries
-    as _entry makes them; returns the remainder dict, its terms inserted
-    in descending order.  First reducer in list order whose lead divides
-    wins.
+    as field.entry makes them; returns the remainder dict, its terms
+    inserted in descending order.  First reducer in list order whose lead
+    divides wins.
 
     A heap of (desc_key, monomial) beside work yields the terms largest
     first; each is popped from work when taken, and every later term is
@@ -131,7 +130,7 @@ def _reduce_full(work, reducers, order, field):
     then the work and the remainder are scaled by a before c times the
     shifted reducer is taken off.
     """
-    p = field.characteristic
+    canonical = field.canonical
     dkey = order.desc_key
     heap = [(dkey(m), m) for m in work]
     heapq.heapify(heap)
@@ -163,8 +162,7 @@ def _reduce_full(work, reducers, order, field):
             if old is None:
                 old = 0
                 push(heap, (dkey(mm), mm))
-            s = old - c * gc
-            work[mm] = s % p if p else s
+            work[mm] = canonical(old - c * gc)
     return remainder
 
 
@@ -173,7 +171,7 @@ def _spoly_terms(lcm, lm_f, f_terms, lm_g, g_terms, field):
     lcm: each tail shifted once and the leads, which cancel, left out.
     The lead coefficients cross over their gcd, so monic entries give
     exactly the S-polynomial."""
-    p = field.characteristic
+    canonical = field.canonical
     a, b = f_terms[lm_f], g_terms[lm_g]
     if a == b:
         a = b = 1
@@ -187,9 +185,7 @@ def _spoly_terms(lcm, lm_f, f_terms, lm_g, g_terms, field):
     for m, c in g_terms.items():
         if m != lm_g:
             mm = tuple(map(add, m, sg))
-            s = out.get(mm, 0) - b * c
-            if p:
-                s %= p
+            s = canonical(out.get(mm, 0) - b * c)
             if s:
                 out[mm] = s
             else:
@@ -214,8 +210,8 @@ def buchberger(generators, order):
 
 def _buchberger(seed, order, field):
     """The live entries of a Groebner basis of seed, nonzero term dicts
-    over field: a list of (lead, terms) as _entry makes them, neither
-    minimal nor reduced; _reduce_basis publishes them.
+    over field: a list of (lead, terms) as field.entry makes them,
+    neither minimal nor reduced; _reduce_basis publishes them.
 
     The generators enter one at a time, ascending by lead, and so does
     each nonzero S-polynomial remainder; every entry runs the
@@ -231,7 +227,6 @@ def _buchberger(seed, order, field):
     the polynomial would have over the homogenized input, so lex and
     elimination runs no longer chase pairs of high degree first.
     """
-    p = field.characteristic
     key = order.key
 
     basis = []          # (lm, terms); retired entries still reduce
@@ -239,10 +234,10 @@ def _buchberger(seed, order, field):
     live = []           # indices of the entries that take new pairs
     pairs = {}          # (i, j) -> lcm of every queued pair
     heap = []
-    entries = [(_entry(min(terms, key=order.desc_key), terms, p),
-                max(map(sum, terms))) for terms in seed]
-    for entry, s in sorted(entries, key=lambda e: key(e[0][0])):
-        _update(basis, sugar, live, pairs, heap, entry, s, key)
+    leads = [min(terms, key=order.desc_key) for terms in seed]
+    for lm, terms in sorted(zip(leads, seed), key=lambda e: key(e[0])):
+        _update(basis, sugar, live, pairs, heap,
+                (lm, field.entry(lm, terms)), max(map(sum, terms)), key)
 
     while heap:
         s, _, i, j = heapq.heappop(heap)
@@ -252,29 +247,10 @@ def _buchberger(seed, order, field):
         spoly = _spoly_terms(lcm, *basis[i], *basis[j], field)
         rem = _reduce_full(spoly, basis, order, field)
         if rem:     # the remainder's first term is its lead
+            lm = next(iter(rem))
             _update(basis, sugar, live, pairs, heap,
-                    _entry(next(iter(rem)), rem, p), s, key)
+                    (lm, field.entry(lm, rem)), s, key)
     return [basis[i] for i in live]
-
-
-def _entry(lm, terms, p):
-    """Basis entry (lm, terms) for a nonzero term dict with lead lm: over
-    F_p monic, over Q coprime integers with a positive lead (denominators
-    cleared, then the content divided out)."""
-    c = terms[lm]
-    if p:
-        if c == 1:
-            return (lm, terms)
-        inv = pow(c, -1, p)
-        return (lm, {m: x * inv % p for m, x in terms.items()})
-    den = math.lcm(*(x.denominator for x in terms.values()))
-    ints = {m: x.numerator * (den // x.denominator) for m, x in terms.items()}
-    d = math.gcd(*ints.values())
-    if ints[lm] < 0:
-        d = -d
-    if d != 1:
-        ints = {m: x // d for m, x in ints.items()}
-    return (lm, ints)
 
 
 def _update(basis, sugar, live, pairs, heap, entry, s_h, key):
@@ -335,10 +311,8 @@ def _reduce_basis(entries, order, ring):
         # never larger than its multiple), so the earlier leads alone
         # give the same remainder.
         reduced = _reduce_full(dict(terms), kept[:idx], order, field)
-        if not field.characteristic:
-            c = reduced[lm]
-            reduced = {m: Fraction(x, c) for m, x in reduced.items()}
-        final.append(Polynomial(ring, reduced, _clean=True))
+        final.append(Polynomial(ring, field.publish(lm, reduced),
+                                _clean=True))
     return leads, final
 
 
@@ -523,10 +497,8 @@ def intersect(I, J):
         return Ideal(ring)
     if I.is_monomial and J.is_monomial:
         return intersect_all([I, J])
-    p = ring.field.characteristic
     gens = [_padded(f.terms, (1,)) for f in I.groebner(GREVLEX)]
-    gens += [{**_padded(g.terms, (0,)),
-              **_padded(_scale_terms(g.terms, -1, p), (1,))}
+    gens += [{**_padded(g.terms, (0,)), **_padded((-g).terms, (1,))}
              for g in J.groebner(GREVLEX)]
     return _eliminated(ring, gens)
 
@@ -620,9 +592,8 @@ MAX_SATURATION_EXPONENT = 1000
 def _rabinowitsch(polys, f):
     """The polys and 1 - z*f as term dicts, z an auxiliary exponent after
     the variables of f's ring."""
-    minus_f = _scale_terms(f.terms, -1, f.ring.field.characteristic)
     return [_padded(g.terms, (0,)) for g in polys] + [
-        {(0,) * (f.ring.nvars + 1): 1, **_padded(minus_f, (1,))}]
+        {(0,) * (f.ring.nvars + 1): 1, **_padded((-f).terms, (1,))}]
 
 
 def _saturation(I, f):

@@ -51,7 +51,7 @@ import numpy as np
 from .grading import GradedRing, star
 from .groebner import GREVLEX, Ideal
 from .poly import (GF, Polynomial, PolynomialRing, ResourceLimitError,
-                   _same_ring)
+                   _cleared, _same_ring)
 
 
 def monomials_up_to(nvars, bound):
@@ -124,8 +124,7 @@ class TruncatedSpace:
         return v
 
     def polynomial(self, v):
-        p = self.ring.field.characteristic
-        return Polynomial(self.ring, {self.monomials[i]: int(v[i]) % p
+        return Polynomial(self.ring, {self.monomials[i]: int(v[i])
                                       for i in np.flatnonzero(v)})
 
     def positions(self, suffixes):
@@ -512,17 +511,13 @@ def reduce_ideal_mod(I, p):
     modular = PolynomialRing(GF(p), I.ring.variables)
     gens = []
     for g in I.generators:
-        den = math.lcm(*(c.denominator for c in g.terms.values()))
+        ints, den = _cleared(g.terms.values())
         if den % p == 0:
             raise BadPrimeError(f"denominator vanishes mod {p}")
-        terms = {}
-        for m, c in g.terms.items():
-            r = int(c * den) % p
-            if r:
-                terms[m] = r
-        if not terms:
+        h = Polynomial(modular, dict(zip(g.terms, ints)))
+        if h.is_zero:
             raise BadPrimeError(f"generator vanishes mod {p}")
-        gens.append(Polynomial(modular, terms))
+        gens.append(h)
     return Ideal(modular, gens)
 
 

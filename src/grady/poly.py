@@ -3,13 +3,16 @@
 Polynomials are dictionaries mapping exponent tuples to nonzero field
 elements (Fraction for Q, canonical residues for GF(p)).  Everything here
 is immutable by convention: operations return fresh objects and never
-mutate their arguments.
+mutate their arguments.  A CoefficientField picks its arithmetic once:
+constants, from_int, inv, and the kernel's canonical, entry and publish.
+Over Q, _cleared then _primitive is the one integer normalisation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, log10, prod
+from functools import lru_cache, partial
+from math import comb, gcd, lcm, log10, prod
 from operator import add, ge, le, neg, sub
 
 
@@ -66,9 +69,17 @@ def _is_prime(p):
 
 
 class CoefficientField:
-    """The rationals (characteristic 0) or GF(p) for a prime p < 2**31."""
+    """The rationals (characteristic 0) or GF(p) for a prime p < 2**31.
 
-    __slots__ = ("characteristic",)
+    Like TermOrder's keys, the arithmetic is chosen once, in __init__:
+    zero, one, from_int(n), inv(a); for the Buchberger kernel canonical(s)
+    (s % p over F_p, s over Q), entry(lm, terms) of a nonzero term dict
+    with lead lm (monic over F_p, terms itself if it is; primitive integers
+    with a positive lead over Q) and publish(lm, terms), the entry monic.
+    """
+
+    __slots__ = ("characteristic", "zero", "one", "from_int", "inv",
+                 "canonical", "entry", "publish")
 
     def __init__(self, characteristic=0):
         p = int(characteristic)
@@ -77,27 +88,16 @@ class CoefficientField:
                 raise ValueError(f"characteristic out of range: {p}")
             if not _is_prime(p):
                 raise ValueError(f"characteristic must be prime: {p}")
+            self.zero, self.one = 0, 1
+            # bound methods and partials, not lambdas, so a field pickles
+            self.from_int = self.canonical = p.__rmod__     # n -> n % p
+            self.inv = partial(pow, exp=-1, mod=p)
+            self.entry = self.publish = partial(_monic_mod, p)
+        else:
+            self.zero, self.one = Fraction(0), Fraction(1)
+            self.from_int, self.inv, self.canonical = Fraction, _inverse, _same
+            self.entry, self.publish = _primitive_terms, _monic_fractions
         self.characteristic = p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
-
-    def from_int(self, n):
-        if self.characteristic == 0:
-            return Fraction(n)
-        return n % self.characteristic
-
-    def inv(self, a):
-        if self.characteristic == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
-        return pow(a, -1, self.characteristic)
 
     def __eq__(self, other):
         return (isinstance(other, CoefficientField)
@@ -110,10 +110,50 @@ class CoefficientField:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
 
 
+def _inverse(a):
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return 1 / Fraction(a)
+
+
+def _same(s):
+    return s    # not operator.pos, which builds a new Fraction
+
+
+def _monic_mod(p, lm, terms):
+    c = terms[lm]
+    return terms if c == 1 else _scale_terms(terms, pow(c, -1, p), p)
+
+
+def _monic_fractions(lm, terms):
+    c = terms[lm]
+    return {m: Fraction(x, c) for m, x in terms.items()}
+
+
+def _primitive_terms(lm, terms):
+    return dict(zip(terms, _primitive(_cleared(terms.values())[0], terms[lm])))
+
+
+def _cleared(coeffs):
+    """(coeffs times den, den), den the lcm of the coeffs' denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive(a, lead):
+    """The integers a over their content, the sign of lead divided out too."""
+    g = gcd(*a)
+    if lead < 0:
+        g = -g
+    return [c // g for c in a]
+
+
 QQ = CoefficientField(0)
 
 
+@lru_cache(maxsize=64)
 def GF(p):
+    """The field of p elements, shared: a field holds its arithmetic."""
     return CoefficientField(p)
 
 

@@ -1,9 +1,11 @@
 import contextlib
 import os
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from grady.grading import GradedRing, GradingGroup
 from grady.groebner import Ideal
@@ -52,6 +54,15 @@ def line_with_torsion(field, modulus, residue=1):
 def ungraded(ring):
     """ring under the trivial grading: every polynomial is homogeneous."""
     return GradedRing(ring, GradingGroup(0, ()), [((), ())] * ring.nvars)
+
+
+def coefficients(field):
+    """Small field elements; over Q with denominators, and negative and
+    non-unit leads, which the integer kernel clears, divides out and
+    crosses."""
+    if field.characteristic:
+        return st.integers(-3, 3).map(field.from_int)
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
 
 @contextlib.contextmanager

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grady import grading
 from grady.grading import (GradedRing, GradingGroup, Hdeg, degree_of,
                            homogeneous_components, is_g_ideal, is_homogeneous,
                            star)
@@ -59,6 +60,21 @@ def test_homogeneous_components(Rxy, fine_xy):
 def test_is_g_ideal(q_ideal, q_star, fine_xy):
     assert not is_g_ideal(q_ideal, fine_xy)
     assert is_g_ideal(q_star, fine_xy)
+
+
+def test_is_g_ideal_checks_the_ring_once(monkeypatch):
+    """is_g_ideal checks the ring itself, then reads every generator's and
+    basis element's degree unchecked."""
+    ring = PolynomialRing(GF(5), ("x", "y"))
+    graded = GradedRing(ring, GradingGroup(1, ()), [((1,), ()), ((2,), ())])
+    I = Ideal(ring, ["x^2 - y + 1", "x*y - 1", "y^2 - x"])
+    calls = []
+    check = grading._same_ring
+    monkeypatch.setattr(grading, "_same_ring",
+                        lambda *args: calls.append(args) or check(*args))
+    # an inhomogeneous first generator, then the basis (1)
+    assert is_g_ideal(I, graded)
+    assert len(calls) == 1
 
 
 @st.composite

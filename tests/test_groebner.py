@@ -2,7 +2,6 @@
 
 import heapq
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,7 +22,7 @@ from grady.poly import (GF, GREVLEX, LEX, QQ, Polynomial, PolynomialRing,
                         RingMismatchError, TermOrder, mono_div, mono_divides,
                         mono_lcm, mono_mul, parse_polynomial)
 
-from conftest import time_limit
+from conftest import coefficients, time_limit
 
 
 def test_normal_form(Rxy):
@@ -300,15 +299,6 @@ def _naive_reduced_basis(gens, order):
             for k, (_, g) in enumerate(minimal)]
 
 
-def _coefficients(field):
-    """Small field elements; over Q with denominators, and negative and
-    non-unit leads, which the integer kernel clears, divides out and
-    crosses."""
-    if field.characteristic:
-        return st.integers(-3, 3).map(field.from_int)
-    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
-
-
 @st.composite
 def _reference_cases(draw):
     n = draw(st.integers(2, 4))
@@ -319,7 +309,7 @@ def _reference_cases(draw):
         TermOrder.elimination({n - 1}), TermOrder.elimination({n // 2})]))
     # squarefree monomials in 4 variables keep the naive reference quick
     mono = st.tuples(*[st.integers(0, 2 if n < 4 else 1)] * n)
-    poly = st.lists(st.tuples(mono, _coefficients(field)), min_size=1,
+    poly = st.lists(st.tuples(mono, coefficients(field)), min_size=1,
                     max_size=3).map(lambda ts: sum(
                         (ring.monomial(m, c) for m, c in ts), ring.zero()))
     gens = draw(st.lists(poly, min_size=1, max_size=3))
@@ -353,7 +343,7 @@ def _elimination_cases(draw):
     eliminated = draw(st.sets(st.integers(0, n - 1), min_size=1,
                               max_size=n - 1))
     mono = st.tuples(*[st.integers(0, 2)] * n)
-    poly = st.lists(st.tuples(mono, _coefficients(field)), min_size=1,
+    poly = st.lists(st.tuples(mono, coefficients(field)), min_size=1,
                     max_size=3).map(lambda ts: sum(
                         (ring.monomial(m, c) for m, c in ts), ring.zero()))
     return draw(st.lists(poly, min_size=1, max_size=3)), eliminated
@@ -544,7 +534,7 @@ def _named_eliminated(ring, big, gens):
 def _polys(ring, count):
     n = ring.nvars
     mono = st.tuples(*[st.integers(0, 2 if n < 5 else 1)] * n)
-    poly = st.lists(st.tuples(mono, _coefficients(ring.field)), min_size=1,
+    poly = st.lists(st.tuples(mono, coefficients(ring.field)), min_size=1,
                     max_size=3).map(lambda ts: sum(
                         (ring.monomial(m, c) for m, c in ts), ring.zero()))
     return st.lists(poly, min_size=count, max_size=3)

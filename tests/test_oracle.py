@@ -132,6 +132,19 @@ def test_reduce_ideal_mod():
         reduce_ideal_mod(Ideal(ring, ["x - 1/5"]), 5)
 
 
+def test_reduction_mod_p_keeps_the_content():
+    """reduce_ideal_mod clears denominators only, so a generator whose
+    content p divides vanishes mod p and the oracle skips p, although
+    (5*x + 5) is (x + 1)."""
+    ring, graded = line_with_torsion(QQ, 2)
+    with pytest.raises(BadPrimeError, match="^generator vanishes mod 5$"):
+        reduce_ideal_mod(Ideal(ring, ["5*x + 5"]), 5)
+    assert [oracle_compare(Ideal(ring, [g]), graded).reason
+            for g in ("5*x + 5", "x + 1")] == [
+        "heuristic: agreement mod 7, 11",
+        "heuristic: agreement mod 5, 7, 11"]
+
+
 def test_oracle_over_rationals_is_heuristic():
     ring, graded = line_with_torsion(QQ, 2)
     v = oracle_compare(Ideal(ring, ["x - 1"]), graded, 6)

@@ -1,17 +1,23 @@
 """Field arithmetic, monomial helpers, parsing and printing."""
 
+import ast
 import math
+import pickle
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grady import decomposition, groebner, poly
 from grady.poly import (GF, GREVLEX, LEX, MAX_DIGITS, MAX_POWER_TERMS, QQ,
-                        PolyParseError, PolynomialRing, TermOrder, mono_div,
-                        mono_divides, mono_gcd, mono_lcm, mono_mul,
-                        parse_polynomial)
+                        CoefficientField, PolyParseError, PolynomialRing,
+                        TermOrder, mono_div, mono_divides, mono_gcd,
+                        mono_lcm, mono_mul, parse_polynomial)
+
+from conftest import coefficients
 
 
 def _accepts(n):
@@ -58,6 +64,124 @@ def test_field_arithmetic_mod_p():
     F = GF(7)
     assert F.from_int(-1) == 6
     assert F.inv(3) * 3 % 7 == 1
+
+
+def test_field_public_behaviour():
+    assert (repr(QQ), repr(GF(7))) == ("QQ", "GF(7)")
+    assert CoefficientField(7) == GF(7) != QQ == CoefficientField(0)
+    assert hash(CoefficientField(7)) == hash(GF(7))
+    assert GF(32003) is GF(32003)     # one field, not one per polynomial
+    assert (QQ.zero, QQ.one, QQ.from_int(-3)) == (0, 1, Fraction(-3))
+    assert all(type(c) is Fraction for c in (QQ.zero, QQ.one, QQ.inv(3)))
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ValueError):
+        GF(7).inv(0)
+    with pytest.raises(ValueError, match="out of range"):
+        GF(2 ** 31)
+    for field in (QQ, GF(7)):
+        copy = pickle.loads(pickle.dumps(field))
+        assert copy == field and copy.inv(copy.from_int(3)) == field.inv(3)
+
+
+@st.composite
+def _leading_terms(draw):
+    field = draw(st.sampled_from([QQ, GF(2), GF(32003)]))
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    mono = st.tuples(*[st.integers(0, 3)] * 3)
+    f = sum((ring.monomial(m, c) for m, c in draw(st.lists(
+        st.tuples(mono, coefficients(field)), min_size=1, max_size=5))),
+        ring.zero())
+    assume(not f.is_zero)
+    return f, draw(st.sampled_from([GREVLEX, LEX]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_leading_terms())
+def test_publish_of_entry_is_the_monic_polynomial(case):
+    """field.publish(field.entry(...)) is f.monic(), term for term in the
+    same insertion order; an entry is monic over F_p and coprime
+    integers with a positive lead over Q."""
+    f, order = case
+    field = f.ring.field
+    lm = f.leading_monomial(order)
+    entry = field.entry(lm, dict(f.terms))
+    published = field.publish(lm, entry)
+    monic = f.monic(order).terms
+    assert list(published.items()) == list(monic.items())
+    if field.characteristic:
+        assert entry[lm] == 1
+    else:
+        assert all(type(c) is int for c in entry.values())
+        assert entry[lm] > 0 and math.gcd(*entry.values()) == 1
+
+
+def test_rational_entry_is_primitive_with_a_positive_lead():
+    ring = PolynomialRing(QQ, ("x", "y"))
+    f = parse_polynomial("-12/5*x^2 + 18/5*y - 18", ring)
+    # cleared by 5: -12, 18, -90, of content 6 and a negative lead
+    entry = QQ.entry((2, 0), dict(f.terms))
+    assert entry == {(2, 0): 2, (0, 1): -3, (0, 0): 15}
+    assert all(type(c) is int for c in entry.values())
+
+
+def test_modular_entry_of_a_monic_dict_is_that_dict():
+    ring = PolynomialRing(GF(7), ("x", "y"))
+    terms = parse_polynomial("x^2 + 3*y + 6", ring).terms
+    assert GF(7).entry((2, 0), terms) is terms
+
+
+# The lines of poly, groebner and decomposition that branch on the
+# characteristic, by the grep
+#   grep -nE '\bif (not )?p\b|if p else|characteristic (==|!=)|
+#             if (not )?[a-z.]*characteristic\b|else [^ ]+ if p\b'
+# less the lines it finds that choose no field: the arithmetic of
+# _is_prime, the range check in CoefficientField.__init__, and the
+# field's __eq__ and __repr__.  The field makes its choices once, when
+# it is built; this count may only fall.
+MAX_CHARACTERISTIC_BRANCHES = 15
+_BRANCH = re.compile(r"\bif (not )?p\b|if p else|characteristic (==|!=)"
+                     r"|if (not )?[a-z.]*characteristic\b"
+                     r"|else [^ ]+ if p\b")
+_NOT_A_CHOICE = {"_is_prime": None, "CoefficientField.__eq__": None,
+                 "CoefficientField.__repr__": None,
+                 "CoefficientField.__init__": "if p != 0:"}
+
+
+def _enclosing_defs(tree, prefix="", names=None):
+    """{line: qualified name of the innermost def or class around it}."""
+    names = {} if names is None else names
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            name = prefix + node.name
+            names.update(dict.fromkeys(
+                range(node.lineno, node.end_lineno + 1), name))
+            _enclosing_defs(node, name + ".", names)
+        else:
+            _enclosing_defs(node, prefix, names)
+    return names
+
+
+def _characteristic_branches():
+    found = []
+    for module in (poly, groebner, decomposition):
+        with open(module.__file__, encoding="utf-8") as handle:
+            text = handle.read()
+        names = _enclosing_defs(ast.parse(text))
+        for n, line in enumerate(text.splitlines(), 1):
+            name = names.get(n)
+            if _BRANCH.search(line) and not (
+                    name in _NOT_A_CHOICE
+                    and _NOT_A_CHOICE[name] in (None, line.strip())):
+                found.append(f"{module.__name__}:{n}: {line.strip()}")
+    return found
+
+
+def test_characteristic_branches_only_fall():
+    found = _characteristic_branches()
+    assert len(found) <= MAX_CHARACTERISTIC_BRANCHES, "\n".join(found)
+    assert not [f for f in found if f.startswith("grady.groebner:")]
 
 
 def test_rational_coefficients(Rxy):
