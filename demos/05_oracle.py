@@ -1,4 +1,4 @@
-"""The truncation oracle: verify star outputs with dense linear algebra
+"""The truncation oracle: verify star outputs with exact linear algebra
 over a prime field, no Groebner machinery involved.
 
 Run:  python3 demos/05_oracle.py

@@ -1,45 +1,53 @@
 """Brute-force verification of star outputs.
 
 Works entirely inside the space of polynomials of total degree <= D with
-dense exact linear algebra mod p; no elimination machinery is involved,
+exact linear algebra mod p; no elimination machinery is involved,
 which is the point of the oracle.  `oracle_compare` takes either field:
 over Q it reduces the ideal and its rational star mod a few primes and
 labels its verdict heuristic.  Its default bound D is two above the
 star's top generator degree, the least bound that is not vacuous.
 
-- Normal forms.  The normal-form matrix of an ideal has one row per
-  monomial of the space and one column per standard monomial of its
-  grevlex basis.  It is filled by recurrence, as in FGLM (Faugere,
-  Gianni, Lazard and Mora 1993): a non-standard m = t * lm(g) gets
-  minus the combination of the rows of t * v over the non-lead terms
-  c_v * v of g, all smaller than m and of no larger degree.  The rows
-  are filled in waves: a standard row has level 0 and a non-standard
-  one level 1 + the largest level among its rows t * v, so each level
-  reads only rows of lower levels and is filled at once, one
-  gather-multiply-mod per tail position.  Monomial ideals need only a
-  divisibility mask.
-- The star space.  Membership in the ideal is the kernel of that map;
-  membership in the star is the same kernel restricted to each
-  homogeneous block.  Each block kernel is born in reduced row echelon
-  form (the block is reduced with its columns reversed), and blocks have
-  disjoint supports, so their rows sorted by pivot are already the RREF
-  of the whole space.  Modulo a binomial basis the normal form of a
-  monomial is a single term (Eisenbud and Sturmfels 1996), so N has at
-  most one nonzero per row.  Such a term-shaped N needs no row
-  reduction: within a block, the monomials whose normal forms share a
-  column are tied by one relation, and the kernel of all blocks at once
-  is written down directly.
-- The escape check.  A truncated star vector b lies in the computed star
-  S exactly when b N_S = 0 mod p, so all of them are checked with one
-  product; a claimed star with I's reduced basis reuses I's N.
-- Exactness.  Products are exact in int64: GF caps p below 2**31, and
-  a product with inner dimension k is taken whole when
-  (p - 1)^2 k < 2^63, otherwise with one factor split into 16-bit limbs,
-  which covers every such p up to MAX_SPACE_DIMENSION.
+- Normal forms.  Modulo a grevlex basis of monomials and binomials the
+  normal form of a monomial is a single term (Eisenbud and Sturmfels
+  1996), so it is held as a (column, coefficient) pair per monomial,
+  and the pairs are filled by pointer doubling: each non-standard
+  monomial points to the one smaller monomial its reducer's tail
+  reaches.  A basis with a longer element gets the normal-form matrix,
+  one row per monomial of the space and one column per standard
+  monomial, filled by recurrence, as in FGLM (Faugere, Gianni, Lazard
+  and Mora 1993): a non-standard m = t * lm(g) gets minus the
+  combination of the rows of t * v over the non-lead terms c_v * v of
+  g, all smaller than m and of no larger degree.  The rows are filled
+  in waves: a standard row has level 0 and a non-standard one level
+  1 + the largest level among its rows t * v, so each level reads only
+  rows of lower levels and is filled at once, one gather-multiply-mod
+  per tail position.
+- The star space.  Membership in the ideal is the kernel of the normal
+  form map; membership in the star is the same kernel restricted to
+  each homogeneous block.  For term normal forms it is written down
+  directly: within a block, the monomials whose normal forms share a
+  column are tied by one relation, so each row of the kernel has at
+  most two terms and is held as a (pivot, tail, value) triple, with
+  the dense matrix built only when asked for.  Otherwise each block
+  kernel is born in reduced row echelon form (the block is reduced with
+  its columns reversed), and blocks have disjoint supports, so their
+  rows sorted by pivot are already the RREF of the whole space.
+- The escape check.  A truncated star vector b lies in the computed
+  star S exactly when its normal form modulo S is zero.  For a star
+  space of triples against term normal forms of S that is one gather
+  per row: the two terms' columns must agree and their coefficients
+  cancel.  Otherwise all rows are checked with one product b N_S mod p.
+  A claimed star with I's reduced basis reuses I's normal forms.
+- Exactness.  All arithmetic is exact in int64: GF caps p below 2**31,
+  so a product of two residues plus a residue stays below 2^63; a
+  matrix product with inner dimension k is taken whole when
+  (p - 1)^2 k < 2^63, otherwise with one factor split into 16-bit
+  limbs, which covers every such p up to MAX_SPACE_DIMENSION.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -69,8 +77,11 @@ def monomials_up_to(nvars, bound):
     return out
 
 
-# One dim x dim int64 matrix (the normal-form map) stays within 128 MiB,
-# and products of inner dimension <= 4096 stay exact with 16-bit limbs.
+# Modulo a basis with an element of three or more terms, one dim x dim
+# int64 matrix (the normal-form map, the star space) stays within
+# 128 MiB, and products of inner dimension <= 4096 stay exact with
+# 16-bit limbs; term normal forms and their star space take arrays of
+# length dim.
 MAX_SPACE_DIMENSION = 4096
 
 
@@ -222,39 +233,77 @@ def _kernel(A, p):
 
 
 class Subspace:
-    """Row span in a TruncatedSpace, held in reduced row echelon form."""
+    """Row span in a TruncatedSpace, held in reduced row echelon form:
+    a dense matrix, or, for a star space modulo a monomial or binomial
+    basis, `terms`, the arrays (pivots, tails, values) of the rows
+    e_pivot + value e_tail, whose matrix is built on first access.  A
+    unit row has its pivot as its tail and value 0."""
 
-    __slots__ = ("space", "matrix", "pivots")
+    __slots__ = ("space", "pivots", "terms", "_matrix")
 
     def __init__(self, space, rows):
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, space.dimension)
-        self.matrix, self.pivots = _rref(rows, space.ring.field.characteristic)
+        self._matrix, self.pivots = _rref(rows,
+                                          space.ring.field.characteristic)
         self.space = space
+        self.terms = None
 
     @classmethod
     def from_rref(cls, space, matrix, pivots):
         """Span of rows already in RREF with the given pivot columns."""
         S = cls.__new__(cls)
         S.space = space
-        S.matrix = matrix
+        S._matrix = matrix
         S.pivots = np.asarray(pivots, dtype=np.int64).tolist()
+        S.terms = None
         return S
 
     @classmethod
-    def unit_rows(cls, space, indices):
-        """Span of the unit vectors at the given increasing indices: those
-        rows are already in RREF, with the indices as pivots."""
-        matrix = np.zeros((len(indices), space.dimension), dtype=np.int64)
-        matrix[np.arange(len(indices)), indices] = 1
-        return cls.from_rref(space, matrix, indices)
+    def from_terms(cls, space, pivots, tails, values):
+        """Span of the rows e_pivot + value e_tail, for increasing pivots
+        none of which is another row's tail: already in RREF."""
+        S = cls.__new__(cls)
+        S.space = space
+        S._matrix = None
+        S.pivots = pivots.tolist()
+        S.terms = (pivots, tails, values)
+        return S
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            pivots, tails, values = self.terms
+            rows = np.arange(len(pivots))
+            self._matrix = np.zeros((len(pivots), self.space.dimension),
+                                    dtype=np.int64)
+            self._matrix[rows, tails] = values
+            self._matrix[rows, pivots] = 1
+        return self._matrix
 
     @property
     def dimension(self):
-        return self.matrix.shape[0]
+        return len(self.pivots)
+
+    def row(self, i):
+        if self.terms is None:
+            return self.matrix[i]
+        pivots, tails, values = self.terms
+        v = np.zeros(self.space.dimension, dtype=np.int64)
+        v[tails[i]] = values[i]
+        v[pivots[i]] = 1
+        return v
 
     def contains_vector(self, v):
         p = self.space.ring.field.characteristic
-        v = v.astype(np.int64) % p
+        v = v.astype(np.int64, copy=False) % p
+        if self.terms is not None:
+            # v minus v[pivot] times each row: zero at the pivots, and at
+            # a tail its value less the rows' share, summed in one scatter.
+            pivots, tails, values = self.terms
+            share = v[pivots] * values % p
+            v[pivots] = 0
+            np.subtract.at(v, tails, share)
+            return not (v % p).any()
         for i, c in enumerate(self.pivots):
             if v[c]:
                 v = (v - v[c] * self.matrix[i]) % p
@@ -267,12 +316,91 @@ class Subspace:
         return [self.space.polynomial(row) for row in self.matrix]
 
 
+# Normal forms modulo a basis of monomials and binomials, one term each:
+# the i-th monomial's is coef[i] times the column[i]-th monomial, and
+# column[i] is -1 when coef[i] is 0.
+TermForms = collections.namedtuple("TermForms", "column coef")
+
+
+def _normal_forms(gb, space):
+    """The normal forms of the monomials of space modulo the grevlex
+    basis gb: TermForms when every element has at most two terms, else
+    the dense (N, reducible) of _normal_form_matrix."""
+    if all(len(g.terms) <= 2 for g in gb.elements):
+        return _term_forms(gb, space)
+    return _normal_form_matrix(gb, space)
+
+
+def _term_forms(gb, space):
+    """TermForms modulo gb, whose elements have at most two terms.
+
+    A non-standard m = t * lm(g) has normal form 0 for a monomial g, and
+    -c times that of t * v for g = lm + c v: each such row points to one
+    smaller row with a multiplier, and a standard row to itself with
+    multiplier 1, as does a row of normal form 0 with multiplier 0.
+    Pointer doubling (Wyllie 1979) follows all the chains at once: each
+    round multiplies a row's multiplier by its target's and moves its
+    pointer to its target's target, so ceil(log2(longest chain)) + 1
+    rounds of gathers reach every end.
+    """
+    p = space.ring.field.characteristic
+    dim, n = space.exponents.shape
+    divisible = space.divisible(gb.leads)
+    target = np.arange(dim)
+    coef = np.ones(dim, dtype=np.int64)
+    coef[divisible.any(axis=1)] = 0
+    binomials = [g for g, element in enumerate(gb.elements)
+                 if len(element.terms) == 2]
+    if binomials:
+        shift = np.zeros((len(binomials), n), dtype=np.int64)
+        factor = np.zeros(len(binomials), dtype=np.int64)
+        for k, g in enumerate(binomials):
+            lm = gb.leads[g]
+            v, c = next((v, c) for v, c in gb.elements[g].terms.items()
+                        if v != lm)
+            shift[k] = tuple(map(sub, v, lm))
+            factor[k] = -c % p
+        divisible = divisible[:, binomials]
+        rows = divisible.any(axis=1).nonzero()[0]
+        first = divisible[rows].argmax(axis=1)
+        # The row of t * v = m - lm + v, found from suffix sums, which
+        # are additive.
+        shift = np.cumsum(shift[:, ::-1], axis=1)[:, ::-1]
+        suffix = np.cumsum(space.exponents[rows, ::-1], axis=1)[:, ::-1]
+        target[rows] = space.positions(suffix[:, j] + shift[first, j]
+                                       for j in range(n))
+        coef[rows] = factor[first]
+        while True:
+            coef = coef * coef[target] % p
+            further = target[target]
+            if (further == target).all():
+                break
+            target = further
+    target[coef == 0] = -1
+    return TermForms(target, coef)
+
+
+def _dense_forms(forms):
+    """(N, reducible) of normal forms in either representation."""
+    if not isinstance(forms, TermForms):
+        return forms
+    column, coef = forms
+    dim = len(column)
+    reducible = column != np.arange(dim)
+    standard = np.flatnonzero(~reducible)
+    live = np.flatnonzero(coef)
+    N = np.zeros((dim, len(standard)), dtype=np.int64)
+    N[live, np.searchsorted(standard, column[live])] = coef[live]
+    return N, reducible
+
+
 def _normal_form_matrix(gb, space):
-    """(N, reducible) for the grevlex basis gb of a non-monomial ideal:
-    row i of N is the normal form of the i-th monomial of the space, over
-    the columns of the standard monomials (those not `reducible`, a
-    mask over the space).  Filled in the waves of the module docstring;
-    grevlex never raises total degree, so every row stays in the space.
+    """(N, reducible) for the grevlex basis gb, the oracle's route for a
+    basis with an element of three or more terms: row i of N is the
+    normal form of the i-th monomial of the space, over the columns of
+    the standard monomials (those not `reducible`, a mask over the
+    space).  Filled in the waves of the module docstring; grevlex never
+    raises total degree, so every row stays in the space.
 
     Row `dim` of the work matrix stays zero: the padded tail positions
     of a shorter reducer point there with coefficient 0.  Each wave and
@@ -333,18 +461,10 @@ def _normal_form_matrix(gb, space):
     return N[:dim], reducible
 
 
-def _monomial_basis(I, space):
-    inside = space.divisible(I.monomial_generators()).any(axis=1)
-    return Subspace.unit_rows(space, np.flatnonzero(inside))
-
-
 def _block_kernels(space, N, blocks):
     """Subspace of the vectors whose restriction to each block (disjoint
     increasing index arrays) lies in the kernel of the normal-form
-    matrix N: the block kernels, merged by pivot.  A term-shaped N (at
-    most one nonzero per row) takes _term_kernel instead."""
-    if (np.count_nonzero(N, axis=1) <= 1).all():
-        return _term_kernel(space, N, blocks)
+    matrix N: the block kernels, merged by pivot."""
     p = space.ring.field.characteristic
     kernels = []
     for idx in blocks:
@@ -361,49 +481,61 @@ def _block_kernels(space, N, blocks):
     return Subspace.from_rref(space, matrix[order], pivots[order])
 
 
-def _term_kernel(space, N, blocks):
-    """_block_kernels for a term-shaped N, whose row m is c_m e_j(m) or
-    zero, as modulo a binomial basis: one kernel for all blocks, in
-    closed form.  A monomial of normal form zero is free; the others of
-    one block and one column j are tied by the single relation
+def _term_kernel(space, forms, graded):
+    """_block_kernels for TermForms, in closed form and as rows of at
+    most two terms.  A monomial of normal form zero is free; the others
+    of one block and one column j are tied by the single relation
     sum c_m x_m = 0, whose kernel in RREF has the row
-    e_m - (c_m / c_l) e_l for each member m but the last, l."""
+    e_m - (c_m / c_l) e_l for each member m but the last, l.  Only a
+    reducible monomial of nonzero normal form shares its column, with
+    that standard monomial, so a space without one (every space modulo
+    a monomial basis) needs no blocks."""
     p = space.ring.field.characteristic
-    dim, ncols = N.shape
-    block = np.empty(dim, dtype=np.int64)
-    block[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)),
-                                              list(map(len, blocks)))
-    column = N.argmax(axis=1)
-    coef = N[np.arange(dim), column]
-    key = block * ncols + column
-    live = np.flatnonzero(coef)
-    live = live[np.argsort(key[live], kind="stable")]
-    key = key[live]
-    last = np.diff(key, append=-1) != 0
+    column, coef = forms
+    zero = (coef == 0).nonzero()[0]
+    live = coef.nonzero()[0]
+    if (column[live] == live).all():
+        return Subspace.from_terms(space, zero, zero,
+                                   np.zeros(len(zero), dtype=np.int64))
+    # Groups of equal degree and column; lexsort is stable, so members
+    # stay in increasing order.
+    degrees = _degrees(graded, space)[live]
+    order = np.lexsort((column[live], *degrees.T))
+    live, degrees, key = live[order], degrees[order], column[live[order]]
+    last = np.append((key[1:] != key[:-1])
+                     | (degrees[1:] != degrees[:-1]).any(axis=1), True)
     group = np.cumsum(last) - last
-    tails = live[last]
-    inverses = np.array([pow(c, -1, p) for c in coef[tails].tolist()],
+    ends = live[last]
+    inverses = np.array([pow(c, -1, p) for c in coef[ends].tolist()],
                         dtype=np.int64)
     tied, group = live[~last], group[~last]
-    pivots = np.sort(np.concatenate([np.flatnonzero(coef == 0), tied]))
-    matrix = np.zeros((len(pivots), dim), dtype=np.int64)
-    matrix[np.arange(len(pivots)), pivots] = 1
-    matrix[np.searchsorted(pivots, tied), tails[group]] = \
-        -coef[tied] * inverses[group] % p
-    return Subspace.from_rref(space, matrix, pivots)
+    pivots = np.concatenate([zero, tied])
+    order = np.argsort(pivots)
+    tails = np.concatenate([zero, ends[group]])
+    values = np.concatenate([np.zeros(len(zero), dtype=np.int64),
+                             -coef[tied] * inverses[group] % p])
+    return Subspace.from_terms(space, pivots[order], tails[order],
+                               values[order])
 
 
-def _homogeneous_blocks(graded, space):
-    """Index arrays of the monomials of each degree, from one product
-    with the grading's weight vectors: increasing indices, the blocks in
-    lexicographic order of their degrees.  A grading without weights
-    makes the whole space one block."""
+def _degrees(graded, space):
+    """The degrees of the monomials of space, one row each, from one
+    product with the grading's weight vectors; the torsion parts are
+    residues."""
     weights = np.array(graded.weights, dtype=np.int64)
-    if not weights.size:
-        return [np.arange(space.dimension)]
     dots = space.exponents @ weights.reshape(-1, space.ring.nvars).T
     r = graded.group.free_rank
     dots[:, r:] %= np.array(graded.group.torsion, dtype=np.int64)
+    return dots
+
+
+def _homogeneous_blocks(graded, space):
+    """Index arrays of the monomials of each degree: increasing indices,
+    the blocks in lexicographic order of their degrees.  A grading
+    without weights makes the whole space one block."""
+    dots = _degrees(graded, space)
+    if not dots.size:
+        return [np.arange(space.dimension)]
     order = np.lexsort(dots.T[::-1])
     dots = dots[order]
     return np.split(order, np.flatnonzero(
@@ -411,13 +543,12 @@ def _homogeneous_blocks(graded, space):
 
 
 def _star_space(I, graded, space):
-    """(truncated star basis of I in space, I's normal-form matrix and
-    reducible mask, or None for a monomial I)."""
-    if I.is_monomial:
-        return _monomial_basis(I, space), None
-    normal_forms = _normal_form_matrix(I.groebner(GREVLEX), space)
-    return _block_kernels(space, normal_forms[0],
-                          _homogeneous_blocks(graded, space)), normal_forms
+    """(truncated star basis of I in space, I's normal forms)."""
+    forms = _normal_forms(I.groebner(GREVLEX), space)
+    if isinstance(forms, TermForms):
+        return _term_kernel(space, forms, graded), forms
+    return _block_kernels(space, forms[0],
+                          _homogeneous_blocks(graded, space)), forms
 
 
 def truncated_star_basis(I, graded, degree_bound):
@@ -426,24 +557,28 @@ def truncated_star_basis(I, graded, degree_bound):
     return _star_space(I, graded, TruncatedSpace(I.ring, degree_bound))[0]
 
 
-def _first_escape(B, S, normal_forms):
-    """Index of the first row of B whose polynomial is not in S, or None.
+def _first_escape(B, forms):
+    """Index of the first row of B whose polynomial is not in the ideal
+    S with the given normal forms, or None.
 
-    With N the normal-form matrix of S, the normal forms of the rows are
-    B[:, standard] + B[:, reducible] N[reducible] mod p; a monomial S has
-    N = 0 on its reducible monomials.  normal_forms is S's (N,
-    reducible), or None for a monomial S.
+    A row e_c + a e_t of a star space held as terms has normal form
+    coef[c] e_column[c] + a coef[t] e_column[t] modulo TermForms, which
+    is zero exactly when the columns agree and the coefficients cancel.
+    Otherwise, with N the normal-form matrix of S, the normal forms of
+    the rows are B[:, standard] + B[:, reducible] N[reducible] mod p.
     """
     space = B.space
     p = space.ring.field.characteristic
-    if S.is_monomial:
-        leads = S.groebner(GREVLEX).leads
-        E = B.matrix[:, ~space.divisible(leads).any(axis=1)]
+    if B.terms is not None and isinstance(forms, TermForms):
+        column, coef = forms
+        pivots, tails, values = B.terms
+        escapes = ((column[pivots] != column[tails])
+                   | ((coef[pivots] + values * coef[tails]) % p != 0))
     else:
-        N, reducible = normal_forms
-        E = (B.matrix[:, ~reducible]
-             + _matmul_mod(B.matrix[:, reducible], N[reducible], p)) % p
-    escaping = np.flatnonzero(E.any(axis=1))
+        N, reducible = _dense_forms(forms)
+        escapes = ((B.matrix[:, ~reducible] + _matmul_mod(
+            B.matrix[:, reducible], N[reducible], p)) % p).any(axis=1)
+    escaping = escapes.nonzero()[0]
     return int(escaping[0]) if escaping.size else None
 
 
@@ -477,16 +612,15 @@ def _compare_mod_p(I, graded, degree_bound, S):
             f"{maxdeg} + 2")
 
     space = TruncatedSpace(I.ring, degree_bound)
-    B, normal_forms = _star_space(I, graded, space)
+    B, forms = _star_space(I, graded, space)
     # A star with I's reduced basis has I's normal forms.
     if S != I:
-        normal_forms = (None if S.is_monomial else
-                        _normal_form_matrix(S.groebner(GREVLEX), space))
-    escape = _first_escape(B, S, normal_forms)
+        forms = _normal_forms(S.groebner(GREVLEX), space)
+    escape = _first_escape(B, forms)
     if escape is not None:
         return OracleVerdict(
             "fail", "truncated star vector escapes the computed star",
-            str(space.polynomial(B.matrix[escape])))
+            str(space.polynomial(B.row(escape))))
     for g in gens:
         if not B.contains_vector(space.vector(g)):
             return OracleVerdict(

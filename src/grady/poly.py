@@ -4,7 +4,8 @@ Polynomials are dictionaries mapping exponent tuples to nonzero field
 elements (Fraction for Q, canonical residues for GF(p)).  Everything here
 is immutable by convention: operations return fresh objects and never
 mutate their arguments.  A CoefficientField picks its arithmetic once:
-constants, from_int, inv, and the kernel's canonical, entry and publish.
+constants, from_int, element, inv, and the kernel's canonical, entry and
+publish.
 Over Q, _cleared then _primitive is the one integer normalisation.
 """
 
@@ -72,14 +73,16 @@ class CoefficientField:
     """The rationals (characteristic 0) or GF(p) for a prime p < 2**31.
 
     Like TermOrder's keys, the arithmetic is chosen once, in __init__:
-    zero, one, from_int(n), inv(a); for the Buchberger kernel canonical(s)
+    zero, one, from_int(n), element(c) of an int or a Fraction c (over F_p
+    num * den^-1 mod p, ZeroDivisionError when p divides den), inv(a); for
+    the Buchberger kernel canonical(s)
     (s % p over F_p, s over Q), entry(lm, terms) of a nonzero term dict
     with lead lm (monic over F_p, terms itself if it is; primitive integers
     with a positive lead over Q) and publish(lm, terms), the entry monic.
     """
 
-    __slots__ = ("characteristic", "zero", "one", "from_int", "inv",
-                 "canonical", "entry", "publish")
+    __slots__ = ("characteristic", "zero", "one", "from_int", "element",
+                 "inv", "canonical", "entry", "publish")
 
     def __init__(self, characteristic=0):
         p = int(characteristic)
@@ -91,11 +94,13 @@ class CoefficientField:
             self.zero, self.one = 0, 1
             # bound methods and partials, not lambdas, so a field pickles
             self.from_int = self.canonical = p.__rmod__     # n -> n % p
+            self.element = partial(_residue, p)
             self.inv = partial(pow, exp=-1, mod=p)
             self.entry = self.publish = partial(_monic_mod, p)
         else:
             self.zero, self.one = Fraction(0), Fraction(1)
             self.from_int, self.inv, self.canonical = Fraction, _inverse, _same
+            self.element = _rational
             self.entry, self.publish = _primitive_terms, _monic_fractions
         self.characteristic = p
 
@@ -118,6 +123,19 @@ def _inverse(a):
 
 def _same(s):
     return s    # not operator.pos, which builds a new Fraction
+
+
+def _rational(c):
+    return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def _residue(p, c):
+    den = c.denominator
+    if den == 1:
+        return c.numerator % p
+    if den % p == 0:
+        raise ZeroDivisionError(f"{c} has no value mod {p}")
+    return c.numerator * pow(den, -1, p) % p
 
 
 def _monic_mod(p, lm, terms):
@@ -268,8 +286,7 @@ class PolynomialRing:
         return Polynomial(self, {(0,) * self.nvars: self.field.one})
 
     def constant(self, c):
-        return Polynomial(self, {(0,) * self.nvars: self.field.from_int(c)
-                                 if isinstance(c, int) else c})
+        return Polynomial(self, {(0,) * self.nvars: c})
 
     def gen(self, i):
         if isinstance(i, str):
@@ -373,13 +390,10 @@ class Polynomial:
         if _clean:
             self.terms = terms
             return
-        p = ring.field.characteristic
+        element = ring.field.element
         clean = {}
         for exps, c in terms.items():
-            if p:
-                c = c % p
-            elif not isinstance(c, Fraction):
-                c = Fraction(c)
+            c = element(c)
             if c:
                 clean[tuple(exps)] = c
         self.terms = clean
@@ -420,13 +434,11 @@ class Polynomial:
 
     def scale(self, c):
         field = self.ring.field
-        if isinstance(c, int):
-            c = field.from_int(c)
-        p = field.characteristic
-        if (c % p if p else c) == 0:
+        c = field.element(c)
+        if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, _scale_terms(self.terms, c, p),
-                          _clean=True)
+        return Polynomial(self.ring, _scale_terms(
+            self.terms, c, field.characteristic), _clean=True)
 
     def __pow__(self, n):
         if n < 0:
@@ -486,7 +498,7 @@ class Polynomial:
         idx = {}
         for k, v in assignments.items():
             i = ring.variable_index(k) if isinstance(k, str) else k
-            idx[i] = field.from_int(v) if isinstance(v, int) else v
+            idx[i] = field.element(v)
         out = {}
         for m, c in self.terms.items():
             for i, val in idx.items():

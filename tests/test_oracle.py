@@ -14,14 +14,15 @@ from grady.grading import (GradedRing, GradingGroup, homogeneous_components,
                            star)
 from grady.groebner import GREVLEX, Ideal
 from grady.oracle import (BadPrimeError, OracleVerdict, ResourceLimitError,
-                          Subspace, TruncatedSpace, _block_kernels,
-                          _first_escape, _homogeneous_blocks, _kernel,
-                          _matmul_mod, _normal_form_matrix, _rref,
+                          Subspace, TermForms, TruncatedSpace, _block_kernels,
+                          _dense_forms, _first_escape, _homogeneous_blocks,
+                          _kernel, _matmul_mod, _normal_form_matrix,
+                          _normal_forms, _rref, _term_forms, _term_kernel,
                           monomials_up_to, oracle_compare, reduce_ideal_mod,
                           truncated_star_basis)
 from grady.poly import GF, QQ, Polynomial, PolynomialRing, parse_polynomial
 
-from conftest import line_with_torsion, ungraded
+from conftest import line_with_torsion, time_limit, ungraded
 
 
 def test_monomials_up_to():
@@ -263,18 +264,39 @@ def test_rref_is_reduced_and_spans_the_input(case):
     assert R.tolist() == ref_rows and pivots == ref_pivots
 
 
-def test_unit_rows_match_rref_of_the_same_rows():
+def test_term_rows_match_rref_of_the_same_rows():
     space = TruncatedSpace(PolynomialRing(GF(5), ("x", "y", "z")), 4)
-    idx = np.array([0, 3, 4, 10, 34])
-    rows = np.zeros((len(idx), space.dimension), dtype=np.int64)
-    rows[np.arange(len(idx)), idx] = 1
-    fast = Subspace.unit_rows(space, idx)
+    dim = space.dimension
+    pivots = np.array([0, 3, 4, 10, 20])
+    tails = np.array([0, 12, 4, 12, 30])
+    values = np.array([0, 2, 0, 4, 1])
+    rows = np.zeros((len(pivots), dim), dtype=np.int64)
+    rows[np.arange(len(pivots)), pivots] = 1
+    rows[[1, 3, 4], [12, 12, 30]] = [2, 4, 1]
+    fast = Subspace.from_terms(space, pivots, tails, values)
     slow = Subspace(space, rows)
+    assert fast.pivots == slow.pivots == pivots.tolist()
+    assert fast.dimension == slow.dimension == len(pivots)
+    assert [fast.row(i).tolist() for i in range(len(pivots))] == \
+        slow.matrix.tolist()
     assert np.array_equal(fast.matrix, slow.matrix)
     assert fast.matrix.dtype == slow.matrix.dtype
-    assert fast.pivots == slow.pivots == idx.tolist()
-    empty = Subspace.unit_rows(space, np.array([], dtype=np.int64))
-    assert empty.matrix.shape == (0, space.dimension) and empty.pivots == []
+    # Membership: combinations of the rows, and each of them moved off
+    # the span at a pivot, a tail and a column outside both.
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        v = rng.integers(0, 5, len(pivots)) @ rows
+        assert fast.contains_vector(v) and slow.contains_vector(v)
+        for c in (3, 12, 7):
+            w = v.copy()
+            w[c] += 1
+            assert not fast.contains_vector(w)
+            assert not slow.contains_vector(w)
+    none = np.array([], dtype=np.int64)
+    empty = Subspace.from_terms(space, none, none, none)
+    assert empty.matrix.shape == (0, dim) and empty.pivots == []
+    assert empty.contains_vector(np.zeros(dim, dtype=np.int64))
+    assert not empty.contains_vector(np.eye(1, dim, 5, dtype=np.int64)[0])
 
 
 def test_monomial_star_basis_skips_rref(monkeypatch):
@@ -407,18 +429,20 @@ def _oracle_reference(I, graded, bound, S):
 
 
 @st.composite
-def _oracle_cases(draw):
+def _oracle_cases(draw, sizes=((1, 3), (1, 3), (2, 2)), most_vars=4):
     """(ideal, grading, degree bound, another ideal) over 1-4 variables
     and the four fields; the other ideal contains the first half the
-    time, so escapes are neither certain nor absent.  A third of the
-    time every generator is a binomial, so the normal forms are terms."""
+    time, so escapes are neither certain nor absent.  Each generator
+    has a number of terms in a range drawn from `sizes`: by default a
+    third of the time every generator is a binomial, so the normal
+    forms are terms."""
     p = draw(st.sampled_from(FIELDS))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, most_vars))
     ring = PolynomialRing(GF(p), ("x", "y", "z", "w")[:n])
     top = {1: 4, 2: 3, 3: 2, 4: 2}[n]
     mono = st.lists(st.integers(0, n - 1), max_size=top).map(
         lambda vs: tuple(vs.count(i) for i in range(n)))
-    sizes = draw(st.sampled_from(((1, 3), (1, 3), (2, 2))))
+    sizes = draw(st.sampled_from(sizes))
     poly = st.dictionaries(mono, st.integers(1, p - 1), min_size=sizes[0],
                            max_size=sizes[1]).map(
                                lambda t: Polynomial(ring, t))
@@ -525,21 +549,25 @@ def test_term_kernel_matches_the_block_kernels_at_the_budget_edge():
     assert space.dimension == 3654
     graded = GradedRing(ring, GradingGroup(1, (2,)),
                         [((1,), (1,)), ((1,), (0,)), ((1,), (1,))])
-    gb = Ideal(ring, ["x*y - 3*z^2", "x^3 - 2*y"]).groebner(GREVLEX)
-    N, _ = _normal_form_matrix(gb, space)
-    assert (np.count_nonzero(N, axis=1) <= 1).all()
-    blocks = _homogeneous_blocks(graded, space)
+    I = Ideal(ring, ["x*y - 3*z^2", "x^3 - 2*y"])
+    gb = I.groebner(GREVLEX)
     tracemalloc.start()
     try:
-        B = _block_kernels(space, N, blocks)
+        forms = _term_forms(gb, space)
+        B = _term_kernel(space, forms, graded)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # Arrays of the space's length only: 64 int64 entries per monomial
+    # (1.9 MB here) where a dense star-space matrix takes 67 MB.
+    assert peak < 64 * 8 * space.dimension
     # Each block's rows of B are its kernel from _kernel, and vanish
     # outside the block.
+    N, _ = _normal_form_matrix(gb, space)
+    assert (np.count_nonzero(N, axis=1) <= 1).all()
     p = ring.field.characteristic
     pivots, nonzeros = [], 0
-    for idx in blocks:
+    for idx in _homogeneous_blocks(graded, space):
         rows = N[idx]
         K, free = _kernel(rows[:, rows.any(axis=0)].T, p)
         mine = np.flatnonzero(np.isin(B.pivots, idx))
@@ -548,9 +576,11 @@ def test_term_kernel_matches_the_block_kernels_at_the_budget_edge():
         nonzeros += np.count_nonzero(K)
     assert B.pivots == sorted(pivots) and B.dimension == 2300
     assert np.count_nonzero(B.matrix) == nonzeros
-    # The output plus arrays of the space's length: no block-diagonal
-    # map and no reordered copy of the rows.
-    assert peak < B.matrix.nbytes + N.nbytes
+    # The whole compare, which took 194 s with a dense escape product.
+    with time_limit(10):
+        verdict = oracle_compare(I, graded, 26)
+    assert verdict == OracleVerdict(
+        "pass", "agreement at degree 26, space dimension 2300")
 
 
 def test_compare_fills_one_normal_form_matrix_for_a_star_with_the_basis(
@@ -563,13 +593,13 @@ def test_compare_fills_one_normal_form_matrix_for_a_star_with_the_basis(
     gens = S.canonical_generators()
     bound = max(g.total_degree() for g in gens) + 2
     filled = []
-    real = oracle._normal_form_matrix
+    real = oracle._term_forms
 
     def counting(gb, space):
         filled.append(gb)
         return real(gb, space)
 
-    monkeypatch.setattr(oracle, "_normal_form_matrix", counting)
+    monkeypatch.setattr(oracle, "_term_forms", counting)
     assert oracle_compare(I, graded, bound, star_ideal=S).passed
     assert len(filled) == 1
     # Without x*y - z^2 the claim has another basis, so its own N, and
@@ -625,12 +655,70 @@ def test_star_basis_and_verdict_match_the_references(case, cut):
     for claim in (S, first_rows):
         escapes = [i for i, b in enumerate(B.polynomials())
                    if not claim.contains(b)]
-        normal_forms = (None if claim.is_monomial else _normal_form_matrix(
-            claim.groebner(GREVLEX), B.space))
-        assert _first_escape(B, claim, normal_forms) == \
-            (escapes[0] if escapes else None)
+        forms = _normal_forms(claim.groebner(GREVLEX), B.space)
+        assert _first_escape(B, forms) == (escapes[0] if escapes else None)
         assert oracle_compare(I, graded, bound, star_ideal=claim) == \
             _oracle_reference(I, graded, bound, claim)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_oracle_cases(sizes=((1, 2),), most_vars=3), st.integers(1, 3))
+def test_term_path_matches_the_dense_path(case, cut):
+    """Modulo monomials and binomials, the term forms, their star space
+    and its escapes equal the wave fill, the block kernels and the
+    dense product, in every pairing of the two representations."""
+    I, graded, bound, S = case
+    space = TruncatedSpace(I.ring, bound)
+    gb = I.groebner(GREVLEX)
+    forms = _normal_forms(gb, space)
+    assert isinstance(forms, TermForms)
+    N, reducible = _normal_form_matrix(gb, space)
+    dense_N, dense_reducible = _dense_forms(forms)
+    assert dense_N.tolist() == N.tolist()
+    assert dense_reducible.tolist() == reducible.tolist()
+    B = _term_kernel(space, forms, graded)
+    dense = _block_kernels(space, N, _homogeneous_blocks(graded, space))
+    assert B.terms is not None and dense.terms is None
+    assert B.pivots == dense.pivots
+    assert B.matrix.tolist() == dense.matrix.tolist()
+    assert [B.row(i).tolist() for i in range(B.dimension)] == \
+        dense.matrix.tolist()
+    first_rows = Ideal(I.ring, B.polynomials()[:cut])
+    for claim in (S, first_rows):
+        claim_forms = _normal_forms(claim.groebner(GREVLEX), space)
+        assert isinstance(claim_forms, TermForms)
+        claim_dense = _dense_forms(claim_forms)
+        first = _first_escape(dense, claim_dense)
+        assert _first_escape(B, claim_forms) == first
+        assert _first_escape(B, claim_dense) == first
+        assert _first_escape(dense, claim_forms) == first
+        assert oracle_compare(I, graded, bound, star_ideal=claim) == \
+            _oracle_reference(I, graded, bound, claim)
+
+
+_Z = [((1,), ()), ((1,), ())]
+
+
+@pytest.mark.parametrize("gens, claim, verdict", [
+    # A basis with a 3-term element against a star of monomials.
+    (["x^2 + x*y + 1", "y^2"], ["y^2"], "pass"),
+    (["x^3 + x*y + y", "y^2"], ["x^6", "x^3*y", "y^2"], "pass"),
+    (["x^3 + x*y + y", "y^2"], ["x^6", "y^2"], "fail"),
+    # A basis of monomials against a claim with a 3-term element.
+    (["y^2"], ["x^2 + x*y + 1", "y^2"], "fail"),
+    (["x^6", "x^3*y", "y^2"], ["x^4 + 2*x^2 + 1", "x^2*y + y", "y^2"],
+     "fail"),
+])
+def test_mixed_compares_match_the_reference(gens, claim, verdict):
+    ring = PolynomialRing(GF(7), ("x", "y"))
+    graded = GradedRing(ring, GradingGroup(1, ()), _Z)
+    I, S = Ideal(ring, gens), Ideal(ring, claim)
+    shapes = [max(len(g.terms) for g in J.groebner(GREVLEX).elements)
+              for J in (I, S)]
+    assert sorted(shapes) == [1, 3] or sorted(shapes) == [2, 3]
+    got = oracle_compare(I, graded, 8, star_ideal=S)
+    assert got.status == verdict
+    assert got == _oracle_reference(I, graded, 8, S)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from grady import decomposition, groebner, poly
 from grady.poly import (GF, GREVLEX, LEX, MAX_DIGITS, MAX_POWER_TERMS, QQ,
-                        CoefficientField, PolyParseError, PolynomialRing,
-                        TermOrder, mono_div, mono_divides, mono_gcd,
-                        mono_lcm, mono_mul, parse_polynomial)
+                        CoefficientField, PolyParseError, Polynomial,
+                        PolynomialRing, TermOrder, mono_div, mono_divides,
+                        mono_gcd, mono_lcm, mono_mul, parse_polynomial)
 
 from conftest import coefficients
 
@@ -140,7 +140,7 @@ def test_modular_entry_of_a_monic_dict_is_that_dict():
 # _is_prime, the range check in CoefficientField.__init__, and the
 # field's __eq__ and __repr__.  The field makes its choices once, when
 # it is built; this count may only fall.
-MAX_CHARACTERISTIC_BRANCHES = 15
+MAX_CHARACTERISTIC_BRANCHES = 13
 _BRANCH = re.compile(r"\bif (not )?p\b|if p else|characteristic (==|!=)"
                      r"|if (not )?[a-z.]*characteristic\b"
                      r"|else [^ ]+ if p\b")
@@ -311,6 +311,26 @@ def test_characteristic_reduction():
     f = parse_polynomial("6*x + 5", R)
     assert f == parse_polynomial("x", R)
     assert (parse_polynomial("x", R) * 5).is_zero
+
+
+def test_rational_scalars_and_coefficients_map_into_the_prime_field():
+    R = PolynomialRing(GF(5), ("x",))
+    x = R.gen(0)
+    half = (x + 1) * Fraction(1, 2)
+    assert half == parse_polynomial("3*x + 3", R)
+    assert half.terms == {(1,): 3, (0,): 3}
+    assert Fraction(1, 2) * (x + 1) == half
+    assert (x * Fraction(10, 3)).is_zero
+    made = Polynomial(R, {(1,): Fraction(1, 2), (0,): Fraction(7, 3)})
+    assert made.terms == {(1,): 3, (0,): 4}
+    assert all(type(c) is int for c in made.terms.values())
+    for build in (lambda: x * Fraction(1, 5),
+                  lambda: Polynomial(R, {(1,): Fraction(2, 5)})):
+        with pytest.raises(ZeroDivisionError):
+            build()
+    Q = PolynomialRing(QQ, ("x",))
+    assert (Q.gen(0) * Fraction(1, 2)).terms == {(1,): Fraction(1, 2)}
+    assert Polynomial(Q, {(0,): 3}).terms == {(0,): Fraction(3)}
 
 
 def _polys(ring, max_terms=4, max_exp=3):
